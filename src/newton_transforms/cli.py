@@ -52,23 +52,37 @@ def _parse_grid(text):
         return float(lo), float(hi), int(n)
 
     parts = text.split("x")
-    if len(parts) == 1:
-        return axis(parts[0]), None
-    if len(parts) == 2:
-        return axis(parts[0]), axis(parts[1])
-    raise InputError(f"cannot parse grid '{text}'")
+    try:
+        if len(parts) == 1:
+            return axis(parts[0]), None
+        if len(parts) == 2:
+            return axis(parts[0]), axis(parts[1])
+    except ValueError:
+        pass
+    raise InputError(f"cannot parse grid '{text}' (lo:hi:n or lo:hi:nxlo:hi:n)")
+
+
+def _parse_range(text, what):
+    """'lo:hi:step' as three finite floats with step > 0 and hi >= lo."""
+    try:
+        lo, hi, step = (float(t) for t in text.split(":"))
+    except ValueError:
+        raise InputError(f"cannot parse {what} '{text}' (lo:hi:step)") from None
+    if not (np.all(np.isfinite([lo, hi, step])) and step > 0 and hi >= lo):
+        raise InputError(f"bad {what} '{text}'")
+    return lo, hi, step
 
 
 def _parse_step_grid(text):
     """'lo:hi:step' to a 1D array of points."""
-    lo, hi, step = (float(t) for t in text.split(":"))
-    if step <= 0 or hi <= lo:
+    lo, hi, step = _parse_range(text, "grid")
+    if hi == lo:
         raise InputError(f"bad grid '{text}'")
     return np.arange(lo, hi + 0.5 * step, step)
 
 
 def _parse_alphas(text):
-    lo, hi, step = (float(t) for t in text.split(":"))
+    lo, hi, step = _parse_range(text, "alphas")
     return np.round(np.arange(lo, hi + 0.5 * step, step), 12)
 
 
@@ -92,19 +106,21 @@ def _config(args):
 
 def _schedule(spec, transform):
     head, _, rest = spec.partition(":")
-    if head == "const":
-        return ConstantSchedule(float(rest or 1.0)), False
-    if head == "induced":
-        if transform is None:
-            raise InputError("induced schedule needs --transform")
-        return InducedSchedule(float(rest or 1.0), transform), True
-    if head == "forwarded":
-        if transform is None:
-            raise InputError("forwarded schedule needs --transform")
-        return ("forwarded", float(rest or 1.0)), False
     if head == "armijo":
         return BacktrackingSchedule(), False
-    raise InputError(f"unknown schedule '{spec}' (const:<a>, induced:<a>, forwarded:<a>, armijo)")
+    if head not in ("const", "induced", "forwarded"):
+        raise InputError(f"unknown schedule '{spec}' (const:<a>, induced:<a>, forwarded:<a>, armijo)")
+    try:
+        alpha = float(rest or 1.0)
+    except ValueError:
+        raise InputError(f"schedule '{spec}' needs a numeric stepsize") from None
+    if head == "const":
+        return ConstantSchedule(alpha), False
+    if transform is None:
+        raise InputError(f"{head} schedule needs --transform")
+    if head == "induced":
+        return InducedSchedule(alpha, transform), True
+    return ("forwarded", alpha), False
 
 
 def cmd_run(args):

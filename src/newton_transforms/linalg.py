@@ -4,6 +4,12 @@ norms, eigenvalue-based PSD tests, and principal-minor enumeration.
 All spectral routines symmetrize their input (M <- (M + M^T)/2) after checking
 that the asymmetry is below 1e-8 relative; larger drift indicates an upstream
 bug and is rejected.
+
+The ``*_batch`` routines apply the same computation to stacks of N matrices
+and vectors. Every row equals the scalar routine bit for bit: stacked
+``np.linalg.eigh`` and ``np.matmul`` call the same LAPACK/BLAS kernel once
+per row, and row dot products go through ``np.matmul`` rather than
+``np.einsum``, whose summation order differs from ``ndarray.dot``.
 """
 
 from __future__ import annotations
@@ -52,6 +58,64 @@ def symmetrize(M):
     return 0.5 * (M + M.T)
 
 
+def row_dot(a, b):
+    """<a_i, b_i> for every row: the BLAS dot that ``ndarray.dot`` uses."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def row_norm(a):
+    """Euclidean norm of every row, equal to ``np.linalg.norm`` of the row."""
+    return np.sqrt(row_dot(a, a))
+
+
+def norm_exceeds(x, bound):
+    """||x|| > bound along the last axis, without squaring entries large
+    enough to overflow.
+
+    A row whose largest |entry| already exceeds the bound is decided by that
+    entry; the others give the same answer as ``np.linalg.norm(x) > bound``.
+    NaN rows count as exceeding.
+    """
+    if x.ndim == 1:  # the per-iteration check of run_newton: keep it cheap
+        return bool(not np.abs(x).max() <= bound or np.sqrt(x.dot(x)) > bound)
+    m = np.max(np.abs(x), axis=-1)
+    settled = ~(m <= bound)
+    return settled | (row_norm(np.where(settled[..., None], 0.0, x)) > bound)
+
+
+def symmetrize_batch(M):
+    """symmetrize() for a stack of matrices (N, d, d), row for row; the whole
+    stack is rejected if one matrix would be."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 3 or M.shape[1] != M.shape[2]:
+        raise InputError(f"matrix stack must have shape (N, d, d), got {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise InputError("matrix has non-finite entries")
+    n = M.shape[0]
+    Mt = M.transpose(0, 2, 1)
+    scale = row_norm(M.reshape(n, -1))
+    asym = row_norm((M - Mt).reshape(n, -1))
+    if np.any((scale > 0) & (asym > ASYMMETRY_RTOL * scale)):
+        raise InputError("matrix asymmetry exceeds 1e-8 relative; refusing to symmetrize")
+    return 0.5 * (M + Mt)
+
+
+def pinv_solve_batch(H, G, rel_tol=DEFAULT_PINV_RTOL):
+    """pinv_solve() for every row: H (N, d, d), G (N, d) -> P (N, d)."""
+    H, G = _check_pinv_args(H, G, rel_tol, stacked=True)
+    if H.shape[0] == 0:
+        return np.zeros_like(G)
+    w, V = np.linalg.eigh(H)
+    wmax = np.max(np.abs(w), axis=1)
+    keep = (np.abs(w) >= rel_tol * wmax[:, None]) & (wmax > 0.0)[:, None]
+    inv = np.zeros_like(w)
+    inv[keep] = 1.0 / w[keep]
+    VtG = np.matmul(V.transpose(0, 2, 1), G[:, :, None])[:, :, 0]
+    P = np.matmul(V, (inv * VtG)[:, :, None])[:, :, 0]
+    P[wmax == 0.0] = 0.0
+    return P
+
+
 def _pinv_apply(H, g, rel_tol):
     """Eigendecomposition-based H^+ g with relative spectral cutoff.
 
@@ -68,11 +132,11 @@ def _pinv_apply(H, g, rel_tol):
     return p, int(np.count_nonzero(keep)), w, V
 
 
-def _check_pinv_args(H, g, rel_tol):
-    H = symmetrize(H)
+def _check_pinv_args(H, g, rel_tol, stacked=False):
+    H = symmetrize_batch(H) if stacked else symmetrize(H)
     g = np.asarray(g, dtype=float)
-    if g.shape != (H.shape[0],):
-        raise InputError(f"gradient shape {g.shape} does not match matrix dimension {H.shape[0]}")
+    if g.shape != H.shape[:-1]:
+        raise InputError(f"gradient shape {g.shape} does not match matrix shape {H.shape}")
     if not np.all(np.isfinite(g)):
         raise InputError("vector has non-finite entries")
     if not (0.0 < rel_tol <= 1e-4):

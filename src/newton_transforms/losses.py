@@ -34,6 +34,8 @@ class SmoothLoss:
     """Twice-differentiable loss with optional known minimizer.
 
     evaluate(x) returns (value, gradient, hessian); the Hessian is symmetric.
+    evaluate_batch(X) does the same for every row of X. It uses _eval_batch
+    where a loss has a vectorized formula and loops evaluate otherwise.
     """
 
     name: str
@@ -43,11 +45,36 @@ class SmoothLoss:
     min_value: Optional[float] = None
     _value: Optional[Callable[[np.ndarray], float]] = None
     _hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    _eval_batch: Optional[Callable[[np.ndarray], tuple]] = None
 
     def evaluate(self, x):
         x = as_point(x, self.dimension)
         f, g, H = self._eval(x)
         return float(f), np.asarray(g, dtype=float), np.asarray(H, dtype=float)
+
+    def evaluate_batch(self, X):
+        """evaluate() on every row of X (N, d), bit for bit.
+
+        Returns values (N,), gradients (N, d), Hessians (N, d, d) and a mask
+        of the rows where evaluate() raises DomainError or EvaluationError;
+        those rows hold NaN.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.dimension:
+            raise InputError(f"points must have shape (N, {self.dimension}), got {X.shape}")
+        if not np.all(np.isfinite(X)):
+            raise InputError("point has non-finite entries")
+        if self._eval_batch is not None:
+            return self._eval_batch(X)
+        n, d = X.shape
+        f, G, H = np.full(n, np.nan), np.full((n, d), np.nan), np.full((n, d, d), np.nan)
+        err = np.zeros(n, dtype=bool)
+        for i, x in enumerate(X):
+            try:
+                f[i], G[i], H[i] = self.evaluate(x)
+            except (DomainError, EvaluationError):
+                err[i] = True
+        return f, G, H, err
 
     def value(self, x):
         x = as_point(x, self.dimension)
@@ -135,20 +162,68 @@ def _goldstein_price(x):
     return f, g, H
 
 
+# Batch formulas: the scalar ones above, operation for operation, on columns.
+# Integer powers go through the scalar power of each element, because NumPy's
+# vectorized array power differs from it in the last bit.
+
+def _scalar_pow(v, e):
+    return np.array([vi**e for vi in v], dtype=float)
+
+
+def _beale_batch(X):
+    a, b = X[:, 0], X[:, 1]
+    n = len(X)
+    powers = [np.ones(n), b, _scalar_pow(b, 2), _scalar_pow(b, 3)]
+    f = 0.0
+    G = np.zeros((n, 2))
+    H = np.zeros((n, 2, 2))
+    for i, c in enumerate((1.5, 2.25, 2.625), start=1):
+        t = c - a + a * powers[i]
+        dt = np.stack([powers[i] - 1.0, i * a * powers[i - 1]], axis=1)
+        tyy = i * (i - 1) * a * powers[i - 2] if i >= 2 else np.zeros(n)
+        cross = i * powers[i - 1]
+        ddt = np.stack([np.stack([np.zeros(n), cross], axis=1), np.stack([cross, tyy], axis=1)], axis=1)
+        f += t * t
+        G += 2.0 * t[:, None] * dt
+        H += 2.0 * (dt[:, :, None] * dt[:, None, :] + t[:, None, None] * ddt)
+    return f, G, H, np.zeros(n, dtype=bool)
+
+
+def _goldstein_price_batch(X):
+    a, b = X[:, 0], X[:, 1]
+    s = a + b
+    v = 2.0 * a - 3.0 * b
+    s2, s3, s4 = (_scalar_pow(s, e) for e in (2, 3, 4))
+    v2, v3, v4 = (_scalar_pow(v, e) for e in (2, 3, 4))
+    A = 3 * s4 - 8 * s3 - 6 * s2 + 24 * s + 20
+    Ap = 12 * s3 - 24 * s2 - 12 * s + 24
+    App = 36 * s2 - 48 * s - 12
+    B = 3 * v4 - 16 * v3 + 18 * v2 + 30
+    Bp = 12 * v3 - 48 * v2 + 36 * v
+    Bpp = 36 * v2 - 96 * v + 36
+    u = np.array([1.0, 1.0])
+    w = np.array([2.0, -3.0])
+    G = (Ap * B)[:, None] * u + (A * Bp)[:, None] * w
+    H = ((App * B)[:, None, None] * np.outer(u, u) + (Ap * Bp)[:, None, None] * (np.outer(u, w) + np.outer(w, u))
+         + (A * Bpp)[:, None, None] * np.outer(w, w))
+    return A * B, G, H, np.zeros(len(X), dtype=bool)
+
+
 _BENCHMARKS = {
-    "rosenbrock": (_rosenbrock, (1.0, 1.0), 0.0),
-    "beale": (_beale, (3.0, 0.5), 0.0),
-    "goldstein_price": (_goldstein_price, (0.0, -1.0), 3.0),
+    "rosenbrock": (_rosenbrock, None, (1.0, 1.0), 0.0),
+    "beale": (_beale, _beale_batch, (3.0, 0.5), 0.0),
+    "goldstein_price": (_goldstein_price, _goldstein_price_batch, (0.0, -1.0), 3.0),
 }
 
 
 def make_benchmark(name):
     """2D benchmark loss with analytic gradient/Hessian and known minimizer."""
     try:
-        fn, xstar, fstar = _BENCHMARKS[name]
+        fn, batch_fn, xstar, fstar = _BENCHMARKS[name]
     except KeyError:
         raise InputError(f"unknown benchmark '{name}'; choose from {sorted(_BENCHMARKS)}") from None
-    return SmoothLoss(name=name, dimension=2, _eval=fn, minimizer=np.array(xstar), min_value=fstar)
+    return SmoothLoss(name=name, dimension=2, _eval=fn, minimizer=np.array(xstar), min_value=fstar,
+                      _eval_batch=batch_fn)
 
 
 # ----------------------------------------------------------------------------
@@ -324,14 +399,24 @@ def make_counterexample():
 # CLI-facing registry
 # ----------------------------------------------------------------------------
 
-def _parse_kv(parts):
+def spec_options(parts, kind):
+    """The 'key=value' parts of a CLI spec as a dict of strings."""
     out = {}
     for part in parts:
-        if "=" not in part:
-            raise InputError(f"malformed loss option '{part}'")
-        k, v = part.split("=", 1)
-        out[k] = v
+        key, sep, value = part.partition("=")
+        if not sep:
+            raise InputError(f"malformed {kind} option '{part}'")
+        out[key] = value
     return out
+
+
+def spec_number(options, key, default, cast=float):
+    """options[key], or default, converted by cast; bad text is an InputError."""
+    text = options.get(key, default)
+    try:
+        return cast(text)
+    except ValueError:
+        raise InputError(f"option {key}={text} is not a valid {cast.__name__}") from None
 
 
 def loss_from_spec(spec):
@@ -344,17 +429,21 @@ def loss_from_spec(spec):
         return as_1d_loss(make_radial(head[:-2]))
     if head == "counterexample":
         return make_counterexample()
-    kv = _parse_kv(rest)
-    if head == "polynorm":
-        p = float(kv.get("p", 2))
-        d = int(kv.get("d", 2))
-        rng = np.random.default_rng(int(kv.get("seed", 0)))
-        M = rng.standard_normal((d, d))
-        return make_polynorm(M @ M.T + d * np.eye(d), p)
+    kv = spec_options(rest, "loss")
+    if head not in ("polynorm", "polytope"):
+        raise InputError(f"unknown loss spec '{spec}'")
+    p = spec_number(kv, "p", 2)
+    seed = spec_number(kv, "seed", 0 if head == "polynorm" else 1, int)
+    if seed < 0:
+        raise InputError(f"loss seed must be non-negative, got {seed}")
     if head == "polytope":
-        loss, _ = make_polytope_instance(float(kv.get("p", 2)), seed=int(kv.get("seed", 1)))
+        loss, _ = make_polytope_instance(p, seed=seed)
         return loss
-    raise InputError(f"unknown loss spec '{spec}'")
+    d = spec_number(kv, "d", 2, int)
+    if d < 1:
+        raise InputError(f"polynorm dimension must be positive, got {d}")
+    M = np.random.default_rng(seed).standard_normal((d, d))
+    return make_polynorm(M @ M.T + d * np.eye(d), p)
 
 
 def known_loss_names():

@@ -16,7 +16,7 @@ from typing import List
 import numpy as np
 
 from .errors import DomainError, EvaluationError, InputError, SingularScalingError
-from .linalg import pinv_solve, symmetrize
+from .linalg import norm_exceeds, pinv_solve, symmetrize
 from .losses import SmoothLoss, as_point
 from .transforms import ScalarTransform, scaling_factor
 
@@ -229,7 +229,7 @@ def run_newton(loss, schedule, x0, cfg=None):
         inr = bool(gnorm == 0.0 or residual <= cfg.pinv_rel_tol * gnorm)
         push(k, x, f, gnorm, dual, inr)
 
-        near_min = loss.minimizer is not None and np.linalg.norm(x - loss.minimizer) <= cfg.xtol
+        near_min = loss.minimizer is not None and not norm_exceeds(x - loss.minimizer, cfg.xtol)
         if gnorm <= cfg.gtol or near_min:
             tr.termination = CONVERGED
             return tr
@@ -250,7 +250,7 @@ def run_newton(loss, schedule, x0, cfg=None):
         tr.scalings[-1] = scal
 
         x = x - alpha * p
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > cfg.divergence_radius:
+        if not np.all(np.isfinite(x)) or norm_exceeds(x, cfg.divergence_radius):
             push(k + 1, x, np.nan, np.nan, np.nan, False)
             tr.termination = DIVERGED
             return tr

@@ -4,18 +4,23 @@ and the fixed-stepsize sweep for the polytope feasibility observation.
 Cells evaluate at grid nodes; per-cell failures are recorded as error cells,
 never raised. Output ordering is by cell index, so identical configurations
 produce byte-identical CSV files.
+
+Both grid scans process all cells together: one batch evaluation per step
+(SmoothLoss.evaluate_batch) and stacked pseudoinverse solves. Every cell
+ends bit for bit as the scalar path (run_newton, or evaluate, dual_norm_sq
+and scaling_factor) would leave it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .errors import DomainError, EvaluationError, InputError
-from .linalg import dual_norm_sq, pinv_solve, symmetrize
-from .newton import ConstantSchedule, NewtonConfig, run_newton
+from .linalg import norm_exceeds, pinv_solve, pinv_solve_batch, row_dot, row_norm, symmetrize, symmetrize_batch
+from .newton import CONVERGED, DIVERGED, DOMAIN_ERROR, MAX_ITERS, ConstantSchedule, NewtonConfig, run_newton
 from .transforms import compose, scaling_factor
 
 #: |scaling factor| at or below this is recorded as sign 0 and excluded from
@@ -72,69 +77,131 @@ def grid_axes(x_range, y_range=None):
     return axis(x_range), None if y_range is None else axis(y_range)
 
 
-def _empty(kind, xs, ys):
+def _grid(kind, xs, ys, **cells):
+    """GridScan from flat per-cell arrays in cell order (ix outer, iy inner);
+    fields not given keep their empty values."""
     shape = (len(xs), 1 if ys is None else len(ys))
-    return GridScan(
-        kind=kind,
-        xs=xs,
-        ys=ys,
-        scaling_sign=np.zeros(shape, dtype=np.int8),
-        converged=np.zeros(shape, dtype=bool),
-        iterations=np.zeros(shape, dtype=np.int32),
-        final_value=np.full(shape, np.nan),
-        error=np.zeros(shape, dtype=bool),
-    )
+    empty = dict(scaling_sign=(0, np.int8), converged=(False, bool), iterations=(0, np.int32),
+                 final_value=(np.nan, float), error=(False, bool))
+    fields = {name: np.asarray(cells.get(name, np.full(shape, fill)), dtype=dtype).reshape(shape)
+              for name, (fill, dtype) in empty.items()}
+    return GridScan(kind=kind, xs=xs, ys=ys, **fields)
 
 
-def _points(xs, ys):
+def _nodes(xs, ys):
+    """Grid nodes in cell order as an (N, d) array."""
     if ys is None:
-        for ix, x in enumerate(xs):
-            yield ix, 0, np.array([x])
-    else:
-        for ix, x in enumerate(xs):
-            for iy, y in enumerate(ys):
-                yield ix, iy, np.array([x, y])
+        return xs[:, None]
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    return np.stack([gx.ravel(), gy.ravel()], axis=1)
 
 
 def scan_sign_flip(loss, t, x_range, y_range=None, cfg=None, cross_check_fraction=0.01, seed=0):
     """Sign of the stepsize scaling factor per grid cell.
 
     A random ~1% of valid cells is cross-validated by comparing the sign of
-    <Newton step on f, Newton step on phi(f)> from actual pseudoinverse
+    <Newton step on f, Newton step on phi(f)> from scalar pseudoinverse
     solves; mismatches are counted on the result.
     """
     cfg = cfg or NewtonConfig()
     xs, ys = grid_axes(x_range, y_range)
-    scan = _empty("sign", xs, ys)
+    X = _nodes(xs, ys)
+    n = len(X)
+    f, G, H, error = loss.evaluate_batch(X)
+    ok = np.flatnonzero(~error)
+    H = symmetrize_batch(H[ok])
+    G = G[ok]
+    P = pinv_solve_batch(H, G, cfg.pinv_rel_tol)
+    dual = np.where(row_dot(G, G) == 0.0, 0.0, row_dot(G, P)).tolist()  # dual_norm_sq
+    s = np.full(len(ok), np.nan)
+    for j, (fj, qj) in enumerate(zip(f[ok].tolist(), dual)):
+        try:
+            s[j] = scaling_factor(t, fj, qj)
+        except (DomainError, EvaluationError):
+            error[ok[j]] = True
+    valid = ~error[ok]
+    cells = ok[valid]
+    sign = np.zeros(n, dtype=np.int8)
+    sign[cells] = np.where(np.abs(s[valid]) <= SIGN_TOL, 0, np.where(s[valid] > 0, 1, -1))
+    final_value = np.full(n, np.nan)
+    final_value[cells] = f[cells]
+    scan = _grid("sign", xs, ys, scaling_sign=sign, final_value=final_value, error=error)
+
+    # One uniform draw per candidate cell, in cell order.
+    candidates = np.flatnonzero(valid & (np.abs(s) > 1e-6))
     rng = np.random.default_rng(seed)
-    check_cells = []
-
-    for ix, iy, x in _points(xs, ys):
-        try:
-            f, g, H = loss.evaluate(x)
-            H = symmetrize(H)
-            q = dual_norm_sq(H, g, cfg.pinv_rel_tol).value
-            s = scaling_factor(t, f, q)
-        except (DomainError, EvaluationError):
-            scan.error[ix, iy] = True
-            continue
-        scan.final_value[ix, iy] = f
-        scan.scaling_sign[ix, iy] = 0 if abs(s) <= SIGN_TOL else (1 if s > 0 else -1)
-        if abs(s) > 1e-6 and rng.uniform() < cross_check_fraction:
-            check_cells.append((ix, iy, x, f, g, H, s))
-
     L = compose(loss, t)
-    for ix, iy, x, f, g, H, s in check_cells:
+    for j in candidates[rng.uniform(size=len(candidates)) < cross_check_fraction]:
         try:
-            _, gL, HL = L.evaluate(x)
+            _, gL, HL = L.evaluate(X[ok[j]])
         except (DomainError, EvaluationError):
             continue
-        step_f = pinv_solve(H, g, cfg.pinv_rel_tol)
+        step_f = pinv_solve(H[j], G[j], cfg.pinv_rel_tol)
         step_L = pinv_solve(symmetrize(HL), gL, cfg.pinv_rel_tol)
         scan.cross_check_cells += 1
-        if np.sign(float(step_f @ step_L)) != np.sign(s):
+        if np.sign(float(step_f @ step_L)) != np.sign(s[j]):
             scan.cross_check_mismatches += 1
     return scan
+
+
+class LockstepRuns(NamedTuple):
+    """Per-row outcome of unit-step Newton runs, as run_newton records them."""
+
+    termination: np.ndarray  # object array of termination strings
+    iterations: np.ndarray
+    final_value: np.ndarray  # last finite value of the driven loss
+    near_minimizer: np.ndarray  # some recorded iterate within cfg.xtol of the minimizer
+
+
+def lockstep_unit_newton(loss, X, cfg):
+    """run_newton(loss, ConstantSchedule(1.0), x, cfg) for every row x of X.
+
+    All live rows advance together: each step evaluates them as one batch and
+    retires rows by run_newton's rules, in its order: domain error, non-finite
+    value, converged, iteration cap, diverged. The loss needs a known
+    minimizer.
+    """
+    if loss.minimizer is None:
+        raise InputError("lockstep_unit_newton needs a loss with known minimizer")
+    n = len(X)
+    runs = LockstepRuns(termination=np.full(n, MAX_ITERS, dtype=object), iterations=np.zeros(n, dtype=np.int32),
+                        final_value=np.full(n, np.nan), near_minimizer=np.zeros(n, dtype=bool))
+    xstar = loss.minimizer
+    live = np.arange(n)
+    x = np.asarray(X, dtype=float)
+
+    def retire(rows, termination, k, points):
+        if not rows.any():
+            return
+        cells = live[rows]
+        runs.termination[cells] = termination
+        runs.iterations[cells] = k
+        runs.near_minimizer[cells] = ~norm_exceeds(points[rows] - xstar, cfg.xtol)
+
+    for k in range(cfg.max_iters + 1):
+        f, G, H, err = loss.evaluate_batch(x)
+        finite = np.isfinite(f) & np.all(np.isfinite(G), axis=1) & np.all(np.isfinite(H), axis=(1, 2))
+        retire(err, DOMAIN_ERROR, k, x)
+        retire(~err & ~finite, DIVERGED, k, x)
+        ok = ~err & finite
+        live, x, f, G, H = live[ok], x[ok], f[ok], G[ok], H[ok]
+        if not live.size:
+            break
+        runs.final_value[live] = f
+        P = pinv_solve_batch(symmetrize_batch(H), G, cfg.pinv_rel_tol)
+        converged = (row_norm(G) <= cfg.gtol) | ~norm_exceeds(x - xstar, cfg.xtol)
+        retire(converged, CONVERGED, k, x)
+        if k == cfg.max_iters:
+            retire(~converged, MAX_ITERS, k, x)
+            break
+        step = ~converged
+        live, x = live[step], x[step] - P[step]  # unit step: 1.0 * p is p bit for bit
+        diverged = ~np.all(np.isfinite(x), axis=1) | norm_exceeds(x, cfg.divergence_radius)
+        retire(diverged, DIVERGED, k + 1, x)
+        live, x = live[~diverged], x[~diverged]
+        if not live.size:
+            break
+    return runs
 
 
 def scan_convergence(loss, t, x_range, y_range=None, cfg=None, radius_tol=1e-6):
@@ -152,19 +219,10 @@ def scan_convergence(loss, t, x_range, y_range=None, cfg=None, radius_tol=1e-6):
     run_cfg = NewtonConfig(max_iters=cfg.max_iters, gtol=1e-300, xtol=radius_tol,
                            divergence_radius=cfg.divergence_radius, pinv_rel_tol=cfg.pinv_rel_tol)
     xs, ys = grid_axes(x_range, y_range)
-    scan = _empty("convergence", xs, ys)
     driven = loss if t is None else compose(loss, t)
-    xstar = np.asarray(loss.minimizer, dtype=float)
-
-    for ix, iy, x in _points(xs, ys):
-        tr = run_newton(driven, ConstantSchedule(1.0), x, run_cfg)
-        dists = [np.linalg.norm(xk - xstar) for xk in tr.xs if np.all(np.isfinite(xk))]
-        scan.converged[ix, iy] = bool(dists and min(dists) <= radius_tol)
-        scan.iterations[ix, iy] = tr.iterations
-        finite_vals = [v for v in tr.values if np.isfinite(v)]
-        scan.final_value[ix, iy] = finite_vals[-1] if finite_vals else np.nan
-        scan.error[ix, iy] = tr.termination == "domain_error"
-    return scan
+    runs = lockstep_unit_newton(driven, _nodes(xs, ys), run_cfg)
+    return _grid("convergence", xs, ys, converged=runs.near_minimizer, iterations=runs.iterations,
+                 final_value=runs.final_value, error=runs.termination == DOMAIN_ERROR)
 
 
 @dataclass

@@ -207,6 +207,11 @@ class RadiusResult:
         return self.radius
 
 
+def _check_bracket(bracket_hi):
+    if not (0.0 < bracket_hi < np.inf):
+        raise InputError(f"bracket_hi must be positive and finite, got {bracket_hi}")
+
+
 def _bisect_predicate(predicate, bracket_hi, probe_factors=(10.0, 100.0, 1000.0), n_bisect=50, min_probe=0.0):
     """Largest x0 with predicate true, assuming monotone predicate; +inf when
     the probes at bracket_hi * factors all pass. A predicate that only holds
@@ -258,6 +263,7 @@ def convergence_radius(loss_1d, bracket_hi=8.0, cfg=None, verify_monotone=True):
     """
     if loss_1d.minimizer is None:
         raise InputError("convergence_radius needs a loss with known minimizer")
+    _check_bracket(bracket_hi)
     cfg = cfg or NewtonConfig()
     xstar = float(loss_1d.minimizer[0])
 
@@ -283,6 +289,7 @@ def convexity_radius(loss_1d, bracket_hi=8.0, n_grid=400, tol=1e-10, probe_facto
     sign change of the curvature is located on an n_grid scan and refined by
     bisection (50 rounds).
     """
+    _check_bracket(bracket_hi)
     xstar = float(loss_1d.minimizer[0])
 
     def curvature(r):

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, InputError, SingularScalingError
-from .losses import SmoothLoss
+from .losses import SmoothLoss, spec_number, spec_options
 
 #: |scaling| at or below this is treated as singular (transformed Hessian
 #: degenerates along grad f); the paper does not treat this case, so fail loudly.
@@ -141,10 +141,12 @@ def make_table1(kind, **params):
         "logarithmic": logarithmic,
         "sigmoid": sigmoid,
     }
+    if kind not in factories:
+        raise InputError(f"unknown transform kind '{kind}'; choose from {TABLE1_KINDS}")
     try:
         return factories[kind](**params)
-    except KeyError:
-        raise InputError(f"unknown transform kind '{kind}'; choose from {TABLE1_KINDS}") from None
+    except TypeError:
+        raise InputError(f"bad parameters {sorted(params)} for transform kind '{kind}'") from None
 
 
 @dataclass
@@ -169,6 +171,24 @@ def compose(base, t):
         p2 = t.phi_double_prime(f)
         return t.phi(f), p1 * g, p1 * H + p2 * np.outer(g, g)
 
+    def ev_batch(X):
+        # phi and its derivatives are scalar functions: apply them per row.
+        f, G, H, err = base.evaluate_batch(X)
+        phi, p1, p2 = (np.full(len(f), np.nan) for _ in range(3))
+        for i in np.flatnonzero(~err):
+            y = float(f[i])
+            try:
+                t.require(y)
+            except DomainError:
+                err[i] = True
+                continue
+            p1[i] = t.phi_prime(y)
+            p2[i] = t.phi_double_prime(y)
+            phi[i] = t.phi(y)
+        G = np.where(err[:, None], np.nan, G)
+        return (phi, p1[:, None] * G,
+                p1[:, None, None] * H + p2[:, None, None] * (G[:, :, None] * G[:, None, :]), err)
+
     min_value = None
     if base.min_value is not None and t.contains(base.min_value):
         min_value = float(t.phi(base.min_value))
@@ -178,6 +198,7 @@ def compose(base, t):
         _eval=ev,
         minimizer=None if base.minimizer is None else np.array(base.minimizer),
         min_value=min_value,
+        _eval_batch=ev_batch,
         base=base,
         transform=t,
     )
@@ -206,13 +227,6 @@ def transform_from_spec(spec):
     if spec in (None, "", "none"):
         return None
     head, *rest = spec.split(":")
-    kv = {}
-    for part in rest:
-        if "=" not in part:
-            kv["_"] = part
-            continue
-        k, v = part.split("=", 1)
-        kv[k] = float(v)
     if head == "star":
         from .starconvex import make_star_transform
 
@@ -222,7 +236,8 @@ def transform_from_spec(spec):
                "log": "logarithmic", "logarithmic": "logarithmic", "sigmoid": "sigmoid"}
     if head not in aliases:
         raise InputError(f"unknown transform spec '{spec}'")
-    return make_table1(aliases[head], **{k: v for k, v in kv.items() if k != "_"})
+    kv = spec_options(rest, "transform")
+    return make_table1(aliases[head], **{k: spec_number(kv, k, None) for k in kv})
 
 
 def known_transform_specs():

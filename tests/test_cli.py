@@ -1,4 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 from newton_transforms.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(tmp_path, *argv):
@@ -129,3 +138,30 @@ def test_fig1_recipe_deterministic(tmp_path):
         assert main(["--out-dir", str(d), "recipe", "fig1"]) == 0
     for name in ("trace_f_diverges.csv", "trace_L.csv", "trace_induced.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+MALFORMED = [
+    "scan-flip --grid 1:2",
+    "scan-flip --loss beale --transform poly:r=0.5 --grid 1:2",
+    "scan-conv --loss beale --grid 1:2:x",
+    "run --transform poly:r=abc --x0 1,1",
+    "run --loss beale --transform poly:r=abc --x0 1,1",
+    "run --loss beale --transform poly:a=1 --x0 1,1",
+    "run --loss beale --transform sigmoid:x --x0 1,1",
+    "run --loss polynorm:p=x --x0 1,1",
+    "run --loss polynorm:d=0 --x0 1",
+    "run --loss beale --schedule const:zz --x0 1,1",
+    "sweep-alpha --loss polytope:p=2 --alphas 1:2",
+    "sweep-alpha --loss polytope:p=2 --alphas 1:2:0",
+    "convexify --loss cauchy1d --x0 2 --grid 1:2",
+    "radius --loss cauchy1d --bracket=-1",
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED)
+def test_malformed_input_exit_2_without_traceback(argv, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "newton_transforms.cli", "--out-dir", str(tmp_path), *argv.split()],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
