@@ -11,26 +11,19 @@ import numpy as np
 from .errors import DomainError, EvaluationError
 
 
-def fd_gradient(value_fn, x, step_scale=1e-6):
+def _central_differences(fn, x, step_scale):
+    """(fn(x + h e_i) - fn(x - h e_i)) / 2h as column i, h = step_scale (1 + ||x||)."""
     x = np.asarray(x, dtype=float)
     h = step_scale * (1.0 + np.linalg.norm(x))
-    g = np.zeros_like(x)
-    for i in range(len(x)):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (value_fn(x + e) - value_fn(x - e)) / (2.0 * h)
-    return g
+    return np.stack([(fn(x + h * e) - fn(x - h * e)) / (2.0 * h) for e in np.eye(len(x))], axis=-1)
+
+
+def fd_gradient(value_fn, x, step_scale=1e-6):
+    return _central_differences(value_fn, x, step_scale)
 
 
 def fd_hessian(gradient_fn, x, step_scale=1e-6):
-    x = np.asarray(x, dtype=float)
-    h = step_scale * (1.0 + np.linalg.norm(x))
-    d = len(x)
-    H = np.zeros((d, d))
-    for i in range(d):
-        e = np.zeros_like(x)
-        e[i] = h
-        H[:, i] = (gradient_fn(x + e) - gradient_fn(x - e)) / (2.0 * h)
+    H = _central_differences(gradient_fn, x, step_scale)
     return 0.5 * (H + H.T)
 
 

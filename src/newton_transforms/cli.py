@@ -19,7 +19,7 @@ import numpy as np
 from .convexify import compact_constant, schaible_r, verify_convexified, exp_convexifier
 from .errors import CapabilityError, DomainError, EvaluationError, InputError, SingularScalingError
 from .linalg import min_eigenvalue
-from .losses import as_1d_loss, known_loss_names, loss_from_spec, make_radial
+from .losses import as_1d_loss, known_loss_names, loss_from_spec, radial_1d
 from .newton import (
     BacktrackingSchedule,
     ConstantSchedule,
@@ -28,14 +28,20 @@ from .newton import (
     NewtonConfig,
     run_newton,
 )
-from .recipes import RECIPES, RecipeError, run_recipe
+from .recipes import RECIPES, RecipeError, run_recipe, write_lines
 from .scans import best_fixed_stepsize, scan_convergence, scan_sign_flip
 from .starconvex import convergence_radius, convexity_radius, radial_star_loss, star_value
 from .transforms import compose, known_transform_specs, transform_from_spec
 
 USAGE_ERROR, NUMERICAL_ERROR, IO_ERROR = 2, 3, 4
 
-RADIAL_1D = {"geman_mcclure1d": "geman_mcclure", "welsh1d": "welsh", "cauchy1d": "cauchy"}
+
+def _count(text):
+    """argparse type of --points and --seed: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def _parse_point(text):
@@ -87,53 +93,49 @@ def _parse_alphas(text):
 
 
 def _out_path(args, name):
-    base = getattr(args, "out", None)
-    if base:
-        return base
-    return os.path.join(args.out_dir, name)
+    return getattr(args, "out", None) or os.path.join(args.out_dir, name)
 
 
 def _config(args):
-    kw = {}
-    if getattr(args, "max_iters", None) is not None:
-        kw["max_iters"] = args.max_iters
-    if getattr(args, "gtol", None) is not None:
-        kw["gtol"] = args.gtol
-    if getattr(args, "xtol", None) is not None:
-        kw["xtol"] = args.xtol
-    return NewtonConfig(**kw)
+    """NewtonConfig from the --max-iters, --gtol and --xtol a command was given."""
+    given = {key: getattr(args, key, None) for key in ("max_iters", "gtol", "xtol")}
+    return NewtonConfig(**{key: value for key, value in given.items() if value is not None})
 
 
-def _schedule(spec, transform):
+def _schedule(spec, loss, t):
+    """The schedule a --schedule spec names and the loss it drives: phi(f)
+    when a transform is given, except that an induced schedule drives f."""
     head, _, rest = spec.partition(":")
     if head == "armijo":
-        return BacktrackingSchedule(), False
-    if head not in ("const", "induced", "forwarded"):
-        raise InputError(f"unknown schedule '{spec}' (const:<a>, induced:<a>, forwarded:<a>, armijo)")
-    try:
-        alpha = float(rest or 1.0)
-    except ValueError:
-        raise InputError(f"schedule '{spec}' needs a numeric stepsize") from None
-    if head == "const":
-        return ConstantSchedule(alpha), False
-    if transform is None:
-        raise InputError(f"{head} schedule needs --transform")
-    if head == "induced":
-        return InducedSchedule(alpha, transform), True
-    return ("forwarded", alpha), False
+        schedule = BacktrackingSchedule()
+    else:
+        if head not in ("const", "induced", "forwarded"):
+            raise InputError(f"unknown schedule '{spec}' (const:<a>, induced:<a>, forwarded:<a>, armijo)")
+        try:
+            alpha = float(rest or 1.0)
+        except ValueError:
+            raise InputError(f"schedule '{spec}' needs a numeric stepsize") from None
+        if head == "const":
+            schedule = ConstantSchedule(alpha)
+        elif t is None:
+            raise InputError(f"{head} schedule needs --transform")
+        elif head == "induced":
+            return InducedSchedule(alpha, t), loss
+        else:
+            schedule = ForwardedSchedule(alpha, t, loss)
+    return schedule, loss if t is None else compose(loss, t)
+
+
+def _radial(spec, command):
+    radial = radial_1d(spec)
+    if radial is None:
+        raise InputError(f"{command} needs a radial 1D loss (<name>1d), got '{spec}'")
+    return radial
 
 
 def cmd_run(args):
     loss = loss_from_spec(args.loss)
-    t = transform_from_spec(args.transform)
-    schedule, drives_base = _schedule(args.schedule, t)
-    if isinstance(schedule, tuple):  # forwarded: drive the composed loss
-        driven = compose(loss, t)
-        schedule = ForwardedSchedule(schedule[1], t, loss)
-    elif drives_base or t is None:
-        driven = loss
-    else:
-        driven = compose(loss, t)
+    schedule, driven = _schedule(args.schedule, loss, transform_from_spec(args.transform))
     trace = run_newton(driven, schedule, _parse_point(args.x0), _config(args))
     path = _out_path(args, "trace.csv")
     trace.write_csv(path)
@@ -161,41 +163,32 @@ def cmd_convexify(args):
             continue
         rows.append(",".join(format(v, ".17g") for v in (x[0], f, r, before, after, c)))
     path = _out_path(args, "convexify_report.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(rows) + "\n")
+    write_lines(path, rows)
     rep = verify_convexified(loss, t, grid)
     print(f"c={c:.17g} min_eig_after={rep.min_eig:.17g} passed={rep.passed} -> {path}")
     return 0 if rep.passed else NUMERICAL_ERROR
 
 
 def cmd_radius(args):
-    if args.loss not in RADIAL_1D:
-        raise InputError(f"radius supports radial 1D losses {sorted(RADIAL_1D)}")
-    radial = make_radial(RADIAL_1D[args.loss])
+    radial = _radial(args.loss, "radius")
     loss = radial_star_loss(radial)[0] if args.transformed else as_1d_loss(radial)
     basin = convergence_radius(loss, bracket_hi=args.bracket)
     convex = convexity_radius(loss, bracket_hi=args.bracket)
 
-    def fmt(r):
-        return "inf" if np.isinf(r) else format(r, ".6g")
-
     lines = [
         f"loss={loss.name}",
-        f"empirical_basin_radius={fmt(basin.radius)}",
+        f"empirical_basin_radius={basin.radius:.6g}",
         f"basin_monotone={basin.monotone}",
-        f"convexity_radius={fmt(convex.radius)}",
+        f"convexity_radius={convex.radius:.6g}",
     ]
     path = _out_path(args, "radius.txt")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
     print("\n".join(lines))
     return 0
 
 
 def cmd_starcheck(args):
-    if args.loss not in RADIAL_1D:
-        raise InputError(f"starcheck supports radial 1D losses {sorted(RADIAL_1D)}")
-    radial = make_radial(RADIAL_1D[args.loss])
+    radial = _radial(args.loss, "starcheck")
     base = as_1d_loss(radial)
     loss, t = radial_star_loss(radial)
     rng = np.random.default_rng(args.seed)
@@ -215,8 +208,7 @@ def cmd_starcheck(args):
         worst_slack = min(worst_slack, slack)
         rows.append(",".join(format(v, ".17g") for v in (x, li, closed, tv, slack)))
     path = _out_path(args, "starcheck.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(rows) + "\n")
+    write_lines(path, rows)
     ok = worst_gap <= 1e-6 and worst_slack >= -1e-10
     print(f"max_gap={worst_gap:.3g} min_star_slack={worst_slack:.3g} passed={ok} -> {path}")
     return 0 if ok else NUMERICAL_ERROR
@@ -314,15 +306,15 @@ def build_parser():
 
     p = add("starcheck", cmd_starcheck, help="star-convexification consistency samples")
     p.add_argument("--loss", required=True)
-    p.add_argument("--points", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--points", type=_count, default=50)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--out")
 
     p = add("scan-flip", cmd_scan_flip, help="sign of the scaling factor per grid cell")
     p.add_argument("--loss", required=True)
     p.add_argument("--transform", required=True)
     p.add_argument("--grid", default="-4:4:200x-4:4:200")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--out")
 
     p = add("scan-conv", cmd_scan_conv, help="unit-step Newton convergence per grid cell")

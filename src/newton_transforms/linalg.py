@@ -33,11 +33,14 @@ MINOR_DIMENSION_CAP = 8
 
 @dataclass(frozen=True)
 class DualNormResult:
-    """Dual Hessian norm squared <g, H^+ g> plus the range-condition flag."""
+    """The Newton direction H^+ g, its dual norm squared <g, H^+ g>, the
+    range-condition flag, the pseudoinverse rank and ||g||."""
 
     value: float
     in_range: bool
     rank: int
+    direction: np.ndarray
+    grad_norm: float
 
 
 def _as_square(M, name="matrix"):
@@ -52,8 +55,8 @@ def _as_square(M, name="matrix"):
 def symmetrize(M):
     """Return (M + M^T)/2, rejecting asymmetry above 1e-8 relative."""
     M = _as_square(M)
-    scale = np.linalg.norm(M)
-    if scale > 0 and np.linalg.norm(M - M.T) > ASYMMETRY_RTOL * scale:
+    asym = np.linalg.norm(M - M.T)
+    if asym > 0.0 and asym > ASYMMETRY_RTOL * np.linalg.norm(M):  # exact symmetry needs no scale
         raise InputError("matrix asymmetry exceeds 1e-8 relative; refusing to symmetrize")
     return 0.5 * (M + M.T)
 
@@ -117,19 +120,16 @@ def pinv_solve_batch(H, G, rel_tol=DEFAULT_PINV_RTOL):
 
 
 def _pinv_apply(H, g, rel_tol):
-    """Eigendecomposition-based H^+ g with relative spectral cutoff.
-
-    Returns (solution, rank, eigenvalues, eigenvectors).
-    """
+    """Eigendecomposition-based H^+ g with relative spectral cutoff; returns
+    (solution, rank)."""
     w, V = np.linalg.eigh(H)
     wmax = np.max(np.abs(w)) if w.size else 0.0
     if wmax == 0.0:
-        return np.zeros_like(g), 0, w, V
+        return np.zeros_like(g), 0
     keep = np.abs(w) >= rel_tol * wmax
     inv = np.zeros_like(w)
     inv[keep] = 1.0 / w[keep]
-    p = V @ (inv * (V.T @ g))
-    return p, int(np.count_nonzero(keep)), w, V
+    return V @ (inv * (V.T @ g)), int(np.count_nonzero(keep))
 
 
 def _check_pinv_args(H, g, rel_tol, stacked=False):
@@ -150,23 +150,24 @@ def pinv_solve(H, g, rel_tol=DEFAULT_PINV_RTOL):
     Eigenvalues with |lambda| < rel_tol * max|lambda| are treated as zero.
     """
     H, g = _check_pinv_args(H, g, rel_tol)
-    p, _, _, _ = _pinv_apply(H, g, rel_tol)
-    return p
+    return _pinv_apply(H, g, rel_tol)[0]
 
 
 def dual_norm_sq(H, g, rel_tol=DEFAULT_PINV_RTOL):
-    """Compute ||g||*^2 = <g, H^+ g> and test whether g lies in Range(H).
+    """The Newton direction p = H^+ g with ||g||*^2 = <g, p>, and whether g
+    lies in Range(H).
 
-    in_range is true iff ||H (H^+ g) - g|| <= rel_tol * ||g|| (vacuously true
-    for g = 0). The value can be negative when H is indefinite.
+    H is symmetrized and validated once. in_range is true iff
+    ||H p - g|| <= rel_tol * ||g|| (vacuously true for g = 0). The value can
+    be negative when H is indefinite.
     """
     H, g = _check_pinv_args(H, g, rel_tol)
-    p, rank, _, _ = _pinv_apply(H, g, rel_tol)
-    gnorm = np.linalg.norm(g)
+    p, rank = _pinv_apply(H, g, rel_tol)
+    gnorm = float(np.linalg.norm(g))
     if gnorm == 0.0:
-        return DualNormResult(0.0, True, rank)
+        return DualNormResult(0.0, True, rank, p, gnorm)
     residual = np.linalg.norm(H @ p - g)
-    return DualNormResult(float(g @ p), bool(residual <= rel_tol * gnorm), rank)
+    return DualNormResult(float(g @ p), bool(residual <= rel_tol * gnorm), rank, p, gnorm)
 
 
 def min_eigenvalue(M):

@@ -411,12 +411,24 @@ def spec_options(parts, kind):
 
 
 def spec_number(options, key, default, cast=float):
-    """options[key], or default, converted by cast; bad text is an InputError."""
+    """options[key], or default, converted by cast; bad text or a value that
+    is not finite is an InputError."""
     text = options.get(key, default)
     try:
-        return cast(text)
+        value = cast(text)
     except ValueError:
-        raise InputError(f"option {key}={text} is not a valid {cast.__name__}") from None
+        value = np.nan
+    if isinstance(value, float) and not np.isfinite(value):
+        raise InputError(f"option {key}={text} is not a finite {cast.__name__}")
+    return value
+
+
+def radial_1d(name):
+    """The radial profile a 1D loss name such as 'cauchy1d' stands for, or
+    None when the name is not one of them."""
+    if name.endswith("1d") and name[:-2] in _RADIAL:
+        return make_radial(name[:-2])
+    return None
 
 
 def loss_from_spec(spec):
@@ -425,8 +437,9 @@ def loss_from_spec(spec):
     head, *rest = spec.split(":")
     if head in _BENCHMARKS:
         return make_benchmark(head)
-    if head.endswith("1d") and head[:-2] in _RADIAL:
-        return as_1d_loss(make_radial(head[:-2]))
+    radial = radial_1d(head)
+    if radial is not None:
+        return as_1d_loss(radial)
     if head == "counterexample":
         return make_counterexample()
     kv = spec_options(rest, "loss")

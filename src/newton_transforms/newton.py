@@ -16,9 +16,9 @@ from typing import List
 import numpy as np
 
 from .errors import DomainError, EvaluationError, InputError, SingularScalingError
-from .linalg import norm_exceeds, pinv_solve, symmetrize
+from .linalg import DEFAULT_PINV_RTOL, dual_norm_sq, norm_exceeds, symmetrize
 from .losses import SmoothLoss, as_point
-from .transforms import ScalarTransform, scaling_factor
+from .transforms import SCALING_ZERO_TOL, ScalarTransform, compose, forward_stepsize, induced_stepsize, scaling_factor
 
 CONVERGED = "converged"
 DIVERGED = "diverged"
@@ -33,7 +33,7 @@ class NewtonConfig:
     gtol: float = 1e-10
     xtol: float = 1e-10
     divergence_radius: float = 1e6
-    pinv_rel_tol: float = 1e-10
+    pinv_rel_tol: float = DEFAULT_PINV_RTOL
 
     def __post_init__(self):
         if min(self.max_iters, self.gtol, self.xtol, self.divergence_radius, self.pinv_rel_tol) <= 0:
@@ -48,7 +48,6 @@ class StepState:
     x: np.ndarray
     f: float
     g: np.ndarray
-    H: np.ndarray
     direction: np.ndarray  # pinv(H) g
     dual_sq: float  # <g, pinv(H) g> of the driven loss
     loss: SmoothLoss
@@ -82,17 +81,15 @@ class IterateTrace:
         vals = [abs(s) for s in self.scalings if np.isfinite(s)]
         return min(vals) if vals else np.inf
 
-    def _row(self, k):
-        x = self.xs[k]
-        return [k, *x, self.values[k], self.grad_norms[k], self.alphas[k], self.scalings[k], self.dual_sqs[k], self.termination]
-
     def write_csv(self, path):
         d = len(self.xs[0])
         header = ["k"] + [f"x_{i}" for i in range(d)] + ["f", "grad_norm", "alpha", "scaling", "dual_sq", "termination"]
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            for k in range(len(self.xs)):
-                fh.write(",".join(_fmt(v) for v in self._row(k)) + "\n")
+            for k, x in enumerate(self.xs):
+                row = [k, *x, self.values[k], self.grad_norms[k], self.alphas[k], self.scalings[k], self.dual_sqs[k],
+                       self.termination]
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _fmt(v):
@@ -117,48 +114,39 @@ class ConstantSchedule:
         return self.alpha, np.nan
 
 
-def _base_alpha(base, x):
-    return base(x) if callable(base) else float(base)
-
-
 class ForwardedSchedule:
-    """Drive L = phi(f) with alpha_phi(x) = alpha(x) * scaling(x).
+    """Drive L = phi(f) with alpha_phi(x) = alpha * scaling(x).
 
     scaling is computed from the *base* loss quantities at x, so the L-run
     reproduces the f-run iterate for iterate.
     """
 
     def __init__(self, base_alpha, transform: ScalarTransform, base_loss: SmoothLoss):
-        self.base_alpha = base_alpha
+        self.base_alpha = float(base_alpha)
         self.transform = transform
         self.base_loss = base_loss
 
     def __call__(self, state):
-        from .linalg import dual_norm_sq
-        from .transforms import forward_stepsize
-
         f, g, H = self.base_loss.evaluate(state.x)
         dual = dual_norm_sq(H, g, state.cfg.pinv_rel_tol)
         s = scaling_factor(self.transform, f, dual.value)
-        if abs(s) <= 1e-12:
+        if abs(s) <= SCALING_ZERO_TOL:
             raise SingularScalingError(f"scaling factor {s} singular at iterate {state.k}")
-        return forward_stepsize(_base_alpha(self.base_alpha, state.x), s), s
+        return forward_stepsize(self.base_alpha, s), s
 
 
 class InducedSchedule:
-    """Drive f with alpha(x) = alpha_phi(x) / scaling(x) (transferred from a
+    """Drive f with alpha(x) = alpha_phi / scaling(x) (transferred from a
     schedule intended for phi(f)). The driven loss is the base loss, so the
     scaling reuses the state's own evaluation."""
 
     def __init__(self, alpha_on_transformed, transform: ScalarTransform):
-        self.alpha_on_transformed = alpha_on_transformed
+        self.alpha_on_transformed = float(alpha_on_transformed)
         self.transform = transform
 
     def __call__(self, state):
-        from .transforms import induced_stepsize
-
         s = scaling_factor(self.transform, state.f, state.dual_sq)
-        return induced_stepsize(_base_alpha(self.alpha_on_transformed, state.x), s), s
+        return induced_stepsize(self.alpha_on_transformed, s), s
 
 
 class BacktrackingSchedule:
@@ -193,14 +181,16 @@ class BacktrackingSchedule:
 # Driver
 # ----------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_newton(loss, schedule, x0, cfg=None):
     """Damped Newton with pseudoinverse directions; never raises past input
-    validation — failures are recorded in trace.termination."""
+    validation — failures are recorded in trace.termination. Overflow is
+    recorded as divergence, without a NumPy warning."""
     cfg = cfg or NewtonConfig()
     x = as_point(x0, loss.dimension)
     tr = IterateTrace()
 
-    def push(k, x, f, gn, dual, inr):
+    def push(x, f=np.nan, gn=np.nan, dual=np.nan, inr=False):
         tr.xs.append(np.array(x))
         tr.values.append(f)
         tr.grad_norms.append(gn)
@@ -209,51 +199,43 @@ def run_newton(loss, schedule, x0, cfg=None):
         tr.alphas.append(np.nan)
         tr.scalings.append(np.nan)
 
+    def end(termination):
+        tr.termination = termination
+        return tr
+
     for k in range(cfg.max_iters + 1):
         try:
             f, g, H = loss.evaluate(x)
         except (DomainError, EvaluationError):
-            push(k, x, np.nan, np.nan, np.nan, False)
-            tr.termination = DOMAIN_ERROR
-            return tr
+            push(x)
+            return end(DOMAIN_ERROR)
         if not (np.isfinite(f) and np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
-            push(k, x, np.nan, np.nan, np.nan, False)
-            tr.termination = DIVERGED
-            return tr
+            push(x)
+            return end(DIVERGED)
 
-        H = symmetrize(H)
-        p = pinv_solve(H, g, cfg.pinv_rel_tol)
-        dual = float(g @ p)
-        gnorm = float(np.linalg.norm(g))
-        residual = np.linalg.norm(H @ p - g)
-        inr = bool(gnorm == 0.0 or residual <= cfg.pinv_rel_tol * gnorm)
-        push(k, x, f, gnorm, dual, inr)
+        solve = dual_norm_sq(H, g, cfg.pinv_rel_tol)
+        push(x, f, solve.grad_norm, solve.value, solve.in_range)
 
         near_min = loss.minimizer is not None and not norm_exceeds(x - loss.minimizer, cfg.xtol)
-        if gnorm <= cfg.gtol or near_min:
-            tr.termination = CONVERGED
-            return tr
+        if solve.grad_norm <= cfg.gtol or near_min:
+            return end(CONVERGED)
         if k == cfg.max_iters:
-            tr.termination = MAX_ITERS
-            return tr
+            return end(MAX_ITERS)
 
-        state = StepState(k=k, x=x, f=f, g=g, H=H, direction=p, dual_sq=dual, loss=loss, cfg=cfg)
+        state = StepState(k=k, x=x, f=f, g=g, direction=solve.direction, dual_sq=solve.value, loss=loss, cfg=cfg)
         try:
             alpha, scal = schedule(state)
         except SingularScalingError:
-            tr.termination = SINGULAR_SCALING
-            return tr
+            return end(SINGULAR_SCALING)
         except (DomainError, EvaluationError):
-            tr.termination = DOMAIN_ERROR
-            return tr
+            return end(DOMAIN_ERROR)
         tr.alphas[-1] = alpha
         tr.scalings[-1] = scal
 
-        x = x - alpha * p
+        x = x - alpha * solve.direction
         if not np.all(np.isfinite(x)) or norm_exceeds(x, cfg.divergence_radius):
-            push(k + 1, x, np.nan, np.nan, np.nan, False)
-            tr.termination = DIVERGED
-            return tr
+            push(x)
+            return end(DIVERGED)
 
     return tr  # pragma: no cover
 
@@ -275,18 +257,12 @@ def run_equivalence(loss, t, base_schedule, x0, cfg=None):
     """Run Newton on f and, independently, on phi(f) with the forwarded
     schedule; report the worst normalized iterate deviation over the common
     prefix. Agreement certifies the stepsize-rescaling equivalence."""
-    from .transforms import compose
-
     cfg = cfg or NewtonConfig()
-    if isinstance(base_schedule, ConstantSchedule):
-        base_alpha = base_schedule.alpha
-    elif callable(base_schedule):
-        base_alpha = base_schedule
-    else:
-        raise InputError("base_schedule must be a ConstantSchedule or a callable of x")
+    if not isinstance(base_schedule, ConstantSchedule):
+        raise InputError("base_schedule must be a ConstantSchedule")
 
-    trace_f = run_newton(loss, ConstantSchedule(base_alpha) if not callable(base_alpha) else _CallableSchedule(base_alpha), x0, cfg)
-    trace_L = run_newton(compose(loss, t), ForwardedSchedule(base_alpha, t, loss), x0, cfg)
+    trace_f = run_newton(loss, base_schedule, x0, cfg)
+    trace_L = run_newton(compose(loss, t), ForwardedSchedule(base_schedule.alpha, t, loss), x0, cfg)
 
     n = min(len(trace_f.xs), len(trace_L.xs))
     dev = 0.0
@@ -296,14 +272,6 @@ def run_equivalence(loss, t, base_schedule, x0, cfg=None):
             break
         dev = max(dev, float(np.linalg.norm(xf - xl) / (1.0 + np.linalg.norm(xf))))
     return EquivalenceResult(trace_f, trace_L, dev, n)
-
-
-class _CallableSchedule:
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __call__(self, state):
-        return float(self.fn(state.x)), np.nan
 
 
 # ----------------------------------------------------------------------------
@@ -354,8 +322,6 @@ def lm_invariance_residual(loss, t, x, lam, lam_max=1e6):
     d >= 2 and grad f(x) not an eigenvector of hess f(x) (in one dimension, or
     aligned with an eigenvector, a single scalar equation always has a root).
     """
-    from .transforms import compose
-
     x = as_point(x, loss.dimension)
     if loss.dimension < 2:
         raise InputError("LM non-invariance needs d >= 2")

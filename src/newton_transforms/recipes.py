@@ -64,7 +64,7 @@ def _path(out_dir, name):
     return os.path.join(out_dir, name)
 
 
-def _write_lines(path, lines):
+def write_lines(path, lines):
     with open(path, "w", newline="") as fh:
         for line in lines:
             fh.write(line + "\n")
@@ -93,7 +93,7 @@ def recipe_fig1(out_dir):
     n = min(len(tr_L.xs), len(tr_ind.xs))
     dev = max(abs(tr_L.xs[k][0] - tr_ind.xs[k][0]) / (1 + abs(tr_L.xs[k][0])) for k in range(n))
     _require(dev <= 1e-8, f"induced trace deviates from surrogate trace by {dev}")
-    _write_lines(_path(out_dir, "fig1_summary.txt"), [
+    write_lines(_path(out_dir, "fig1_summary.txt"), [
         f"base_termination={tr_f.termination}",
         f"first_step={tr_f.xs[1][0]:.17g}",
         f"surrogate_final={tr_L.final_x[0]:.17g}",
@@ -138,8 +138,8 @@ def recipe_fig3(out_dir, n=50):
         _require(len(set(per_r.values())) > 1,
                  f"fig3 on {lname}: converged-cell counts identical across r: {per_r}")
         counts[lname] = per_r
-    _write_lines(_path(out_dir, "fig3_summary.txt"),
-                 [f"{lname} r={r:g} converged_cells={c}" for lname, per in counts.items() for r, c in per.items()])
+    write_lines(_path(out_dir, "fig3_summary.txt"),
+                [f"{lname} r={r:g} converged_cells={c}" for lname, per in counts.items() for r, c in per.items()])
     return counts
 
 
@@ -158,7 +158,7 @@ def recipe_table1_check(out_dir):
                     worst = max(worst, res.max_deviation)
                     _require(res.max_deviation <= 1e-8,
                              f"{tname} on {lname} (alpha={alpha}) deviates by {res.max_deviation}")
-    _write_lines(_path(out_dir, "table1_check.csv"), rows)
+    write_lines(_path(out_dir, "table1_check.csv"), rows)
     return {"worst_deviation": worst}
 
 
@@ -182,7 +182,7 @@ def recipe_table3(out_dir):
         for variant, loss in (("original", as_1d_loss(radial)), ("transformed", radial_star_loss(radial)[0])):
             conv = convexity_radius(loss, bracket_hi=4.0)
             basin = convergence_radius(loss, bracket_hi=4.0)
-            rows.append(f"{name},{variant},{_fmt_radius(conv.radius)},{_fmt_radius(basin.radius)},{int(basin.monotone)}")
+            rows.append(f"{name},{variant},{conv.radius:.17g},{basin.radius:.17g},{int(basin.monotone)}")
             want = reported[(name, variant)]
             if np.isinf(want):
                 _require(np.isinf(conv.radius), f"{name} {variant}: convexity radius {conv.radius}, expected inf")
@@ -190,12 +190,8 @@ def recipe_table3(out_dir):
                 _require(abs(conv.radius - want) <= 1e-3,
                          f"{name} {variant}: convexity radius {conv.radius} vs reported {want}")
             out[(name, variant)] = (conv.radius, basin.radius)
-    _write_lines(_path(out_dir, "table3_radii.csv"), rows)
+    write_lines(_path(out_dir, "table3_radii.csv"), rows)
     return out
-
-
-def _fmt_radius(r):
-    return "inf" if np.isinf(r) else format(float(r), ".17g")
 
 
 def recipe_polytope_sweep(out_dir, seed=1):
@@ -212,7 +208,7 @@ def recipe_polytope_sweep(out_dir, seed=1):
                  f"p={p}: best alpha {res.best_alpha} outside [{p - 1 - 0.15}, {p - 1 + 0.1}]")
         stars.append(res.best_alpha)
     _require(all(a <= b for a, b in zip(stars, stars[1:])), f"best alphas not non-decreasing: {stars}")
-    _write_lines(_path(out_dir, "polytope_sweep.csv"), rows)
+    write_lines(_path(out_dir, "polytope_sweep.csv"), rows)
     return dict(zip((2, 3, 4, 5), stars))
 
 
@@ -253,7 +249,7 @@ def recipe_lemma3_demo(out_dir):
 
     _require(residual > 1e-6, f"LM residual {residual} unexpectedly small")
     _require(abs(residual - oracle) <= 1e-8, f"golden-section {residual} vs dense oracle {oracle}")
-    _write_lines(_path(out_dir, "lemma3_demo.txt"), [
+    write_lines(_path(out_dir, "lemma3_demo.txt"), [
         f"residual={residual:.17g}",
         f"dense_scan_oracle={oracle:.17g}",
         f"lambda={lam}",
@@ -268,7 +264,7 @@ def recipe_convexify_cauchy(out_dir):
     c = compact_constant(loss, [2.0], grid)
     rep = verify_convexified(loss, exp_convexifier(c, 0.0), grid)
     _require(rep.min_eig >= -1e-8, f"convexified min eigenvalue {rep.min_eig} below tolerance")
-    _write_lines(_path(out_dir, "convexify_cauchy.txt"), [
+    write_lines(_path(out_dir, "convexify_cauchy.txt"), [
         f"c={c:.17g}",
         f"min_eig={rep.min_eig:.17g}",
         f"threshold={rep.threshold:.17g}",

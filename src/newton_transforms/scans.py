@@ -2,7 +2,7 @@
 and the fixed-stepsize sweep for the polytope feasibility observation.
 
 Cells evaluate at grid nodes; per-cell failures are recorded as error cells,
-never raised. Output ordering is by cell index, so identical configurations
+never raised, and overflow gives non-finite cells without a NumPy warning. Output ordering is by cell index, so identical configurations
 produce byte-identical CSV files.
 
 Both grid scans process all cells together: one batch evaluation per step
@@ -21,11 +21,7 @@ import numpy as np
 from .errors import DomainError, EvaluationError, InputError
 from .linalg import norm_exceeds, pinv_solve, pinv_solve_batch, row_dot, row_norm, symmetrize, symmetrize_batch
 from .newton import CONVERGED, DIVERGED, DOMAIN_ERROR, MAX_ITERS, ConstantSchedule, NewtonConfig, run_newton
-from .transforms import compose, scaling_factor
-
-#: |scaling factor| at or below this is recorded as sign 0 and excluded from
-#: cross-validation (the transformed Hessian is near-singular along grad f).
-SIGN_TOL = 1e-12
+from .transforms import SCALING_ZERO_TOL, compose, scaling_factor
 
 
 @dataclass
@@ -96,18 +92,22 @@ def _nodes(xs, ys):
     return np.stack([gx.ravel(), gy.ravel()], axis=1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def scan_sign_flip(loss, t, x_range, y_range=None, cfg=None, cross_check_fraction=0.01, seed=0):
     """Sign of the stepsize scaling factor per grid cell.
 
     A random ~1% of valid cells is cross-validated by comparing the sign of
     <Newton step on f, Newton step on phi(f)> from scalar pseudoinverse
-    solves; mismatches are counted on the result.
+    solves; mismatches are counted on the result. A drawn cell where phi(f)
+    is undefined or its derivatives are not finite is skipped and not
+    counted.
     """
     cfg = cfg or NewtonConfig()
     xs, ys = grid_axes(x_range, y_range)
     X = _nodes(xs, ys)
     n = len(X)
     f, G, H, error = loss.evaluate_batch(X)
+    error |= ~(np.isfinite(f) & np.all(np.isfinite(G), axis=1) & np.all(np.isfinite(H), axis=(1, 2)))
     ok = np.flatnonzero(~error)
     H = symmetrize_batch(H[ok])
     G = G[ok]
@@ -122,7 +122,7 @@ def scan_sign_flip(loss, t, x_range, y_range=None, cfg=None, cross_check_fractio
     valid = ~error[ok]
     cells = ok[valid]
     sign = np.zeros(n, dtype=np.int8)
-    sign[cells] = np.where(np.abs(s[valid]) <= SIGN_TOL, 0, np.where(s[valid] > 0, 1, -1))
+    sign[cells] = np.where(np.abs(s[valid]) <= SCALING_ZERO_TOL, 0, np.where(s[valid] > 0, 1, -1))
     final_value = np.full(n, np.nan)
     final_value[cells] = f[cells]
     scan = _grid("sign", xs, ys, scaling_sign=sign, final_value=final_value, error=error)
@@ -136,6 +136,8 @@ def scan_sign_flip(loss, t, x_range, y_range=None, cfg=None, cross_check_fractio
             _, gL, HL = L.evaluate(X[ok[j]])
         except (DomainError, EvaluationError):
             continue
+        if not (np.all(np.isfinite(gL)) and np.all(np.isfinite(HL))):
+            continue  # phi' overflowed: no step on phi(f) to compare
         step_f = pinv_solve(H[j], G[j], cfg.pinv_rel_tol)
         step_L = pinv_solve(symmetrize(HL), gL, cfg.pinv_rel_tol)
         scan.cross_check_cells += 1
@@ -153,6 +155,7 @@ class LockstepRuns(NamedTuple):
     near_minimizer: np.ndarray  # some recorded iterate within cfg.xtol of the minimizer
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def lockstep_unit_newton(loss, X, cfg):
     """run_newton(loss, ConstantSchedule(1.0), x, cfg) for every row x of X.
 

@@ -13,7 +13,6 @@ test oracles only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +24,6 @@ from .quadrature import adaptive_simpson
 from .transforms import ScalarTransform
 
 QUAD_TOL = 1e-10
-
-
-def erf(x):
-    """Error function (stdlib implementation, |err| < 1e-15)."""
-    return math.erf(x)
 
 
 # ----------------------------------------------------------------------------
@@ -155,7 +149,6 @@ def _star_transform_from_profile(radial):
         p1 = radial.psi_prime(r)
         p2 = radial.psi_double_prime(r)
         K = _excess_integral(radial, r)
-        I = p1 - K
         num = p1 * (p1 - r * p2) + r * p2 * K
         return num / (r * p1**3)
 
@@ -201,7 +194,6 @@ class RadiusResult:
 
     radius: float
     monotone: bool = True
-    predicate_name: str = "newton_converges"
 
     def __float__(self):
         return self.radius
@@ -308,7 +300,7 @@ def convexity_radius(loss_1d, bracket_hi=8.0, n_grid=400, tol=1e-10, probe_facto
                 neg = bracket_hi * f
                 break
         if neg is None:
-            return RadiusResult(np.inf, predicate_name="curvature_nonnegative")
+            return RadiusResult(np.inf)
     lo, hi = 1e-12, neg
     for _ in range(50):
         mid = 0.5 * (lo + hi)
@@ -316,4 +308,4 @@ def convexity_radius(loss_1d, bracket_hi=8.0, n_grid=400, tol=1e-10, probe_facto
             hi = mid
         else:
             lo = mid
-    return RadiusResult(float(0.5 * (lo + hi)), predicate_name="curvature_nonnegative")
+    return RadiusResult(float(0.5 * (lo + hi)))

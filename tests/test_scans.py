@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from newton_transforms.errors import InputError
+from newton_transforms.linalg import dual_norm_sq
 from newton_transforms.losses import (
     as_1d_loss,
     make_benchmark,
@@ -9,7 +12,7 @@ from newton_transforms.losses import (
     make_polytope_instance,
     make_radial,
 )
-from newton_transforms.newton import NewtonConfig
+from newton_transforms.newton import DIVERGED, ConstantSchedule, NewtonConfig, run_newton
 from newton_transforms.scans import (
     best_fixed_stepsize,
     grid_axes,
@@ -17,7 +20,7 @@ from newton_transforms.scans import (
     scan_sign_flip,
 )
 from newton_transforms.starconvex import radial_star_loss
-from newton_transforms.transforms import linear, make_table1
+from newton_transforms.transforms import compose, exponential, linear, make_table1, scaling_factor
 
 
 class TestSignFlip:
@@ -129,3 +132,44 @@ class TestBestFixedStepsize:
     def test_empty_alphas(self):
         with pytest.raises(InputError):
             best_fixed_stepsize(make_polynorm(np.eye(2), 2), [1.0, 1.0], [])
+
+
+@pytest.mark.filterwarnings("error")
+class TestTransformOverflow:
+    """exp(0.02 f) overflows on Goldstein-Price values above about 35,500, so
+    phi(f) and its derivatives are inf or NaN over much of [-4, 4]^2."""
+
+    def test_run_ends_diverged_without_warning(self):
+        loss = compose(make_benchmark("goldstein_price"), exponential(0.02))
+        tr = run_newton(loss, ConstantSchedule(0.5), [-1.2, 1.0], NewtonConfig(max_iters=12))
+        assert (tr.termination, tr.iterations) == (DIVERGED, 0)
+
+    def test_convergence_scan_without_warning(self, tmp_path):
+        scan = scan_convergence(make_benchmark("goldstein_price"), exponential(0.02), (-4, 4, 10), (-4, 4, 10))
+        scan.write_csv(tmp_path / "conv.csv")
+        # recorded while the scan still emitted its overflow warnings
+        assert hashlib.sha256((tmp_path / "conv.csv").read_bytes()).hexdigest() == (
+            "8ca4d468c5219e81f26217ed6368e83d1887f264d532d05ed3bccc100dfb39ec")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sign_flip_cross_check_skips_overflowing_cells(self, seed):
+        shift = 0.1 * (seed + 1) / 21  # below one cell width, 8/29
+        grid = (-4 + shift, 4 + shift, 30)
+        scan = scan_sign_flip(make_benchmark("goldstein_price"), exponential(0.02), grid, grid, seed=seed)
+        assert scan.cross_check_mismatches == 0
+        assert 0 < scan.cross_check_cells < 0.03 * scan.error.size
+
+    def test_sign_flip_counts_only_finite_cross_check_cells(self):
+        loss, t = make_benchmark("goldstein_price"), exponential(0.02)
+        grid = (-4.0, 4.0, 12)
+        scan = scan_sign_flip(loss, t, grid, grid, cross_check_fraction=1.0)
+        finite = 0
+        for x in np.linspace(*grid):
+            for y in np.linspace(*grid):
+                f, g, H = loss.evaluate([x, y])
+                if abs(scaling_factor(t, f, dual_norm_sq(H, g).value)) > 1e-6:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        _, gL, HL = compose(loss, t).evaluate([x, y])
+                    finite += bool(np.all(np.isfinite(gL)) and np.all(np.isfinite(HL)))
+        assert 0 < scan.cross_check_cells == finite < scan.error.size
+        assert scan.cross_check_mismatches == 0

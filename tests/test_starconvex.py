@@ -17,7 +17,6 @@ from newton_transforms.starconvex import (
     convergence_radius,
     convexity_neighborhood,
     convexity_radius,
-    erf,
     make_star_transform,
     radial_star_loss,
     star_value,
@@ -31,7 +30,7 @@ def closed_form_L(name, x):
     if name == "geman_mcclure":
         return x * x / (x * x + 1.0) + x * np.arctan(x)
     if name == "welsh":
-        return np.sqrt(np.pi) * x * erf(x)
+        return np.sqrt(np.pi) * x * math.erf(x)
     return 2.0 * x * np.arctan(x)
 
 
@@ -41,25 +40,25 @@ def closed_form_phi(name, c):
         return c + u * np.arctan(u)
     if name == "welsh":
         u = np.sqrt(-np.log1p(-c))
-        return np.sqrt(np.pi) * u * erf(u)
+        return np.sqrt(np.pi) * u * math.erf(u)
     u = np.sqrt(np.expm1(c))
     return 2.0 * u * np.arctan(u)
 
 
 class TestErf:
     def test_zero(self):
-        assert erf(0.0) == 0.0
+        assert math.erf(0.0) == 0.0
 
     def test_asymptote(self):
-        assert erf(6.0) == pytest.approx(1.0, abs=1e-12)
+        assert math.erf(6.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_reference_point(self):
-        assert erf(1.0) == pytest.approx(0.8427007929497149, abs=1e-9)
+        assert math.erf(1.0) == pytest.approx(0.8427007929497149, abs=1e-9)
 
     def test_quadrature_oracle_20_points(self):
         for x in np.linspace(-3.8, 3.8, 20):
             oracle = 2.0 / np.sqrt(np.pi) * adaptive_simpson(lambda t: np.exp(-t * t), 0.0, x, 1e-13)
-            assert erf(x) == pytest.approx(oracle, abs=1e-12)
+            assert math.erf(x) == pytest.approx(oracle, abs=1e-12)
 
 
 class TestStarValue:
@@ -134,7 +133,7 @@ class TestRadialStarLoss:
                 inner = np.arcsin(np.sqrt(c)) + np.sqrt(c * (1 - c))
                 dinv = 1.0 / (2.0 * np.sqrt(c * (1 - c) ** 3))
             elif name == "welsh":
-                inner = np.sqrt(np.pi) * erf(np.sqrt(-np.log1p(-c)))
+                inner = np.sqrt(np.pi) * math.erf(np.sqrt(-np.log1p(-c)))
                 dinv = 1.0 / (2.0 * (1 - c) * np.sqrt(-np.log1p(-c)))
             else:
                 inner = 2.0 * np.arctan(np.sqrt(np.expm1(c)))
