@@ -11,23 +11,23 @@ import numpy as np
 from .errors import DomainError, EvaluationError
 
 
-def _central_differences(fn, x, step_scale):
-    """(fn(x + h e_i) - fn(x - h e_i)) / 2h as column i, h = step_scale (1 + ||x||)."""
+def _central_differences(fn, x):
+    """(fn(x + h e_i) - fn(x - h e_i)) / 2h as column i, h = 1e-6 (1 + ||x||)."""
     x = np.asarray(x, dtype=float)
-    h = step_scale * (1.0 + np.linalg.norm(x))
+    h = 1e-6 * (1.0 + np.linalg.norm(x))
     return np.stack([(fn(x + h * e) - fn(x - h * e)) / (2.0 * h) for e in np.eye(len(x))], axis=-1)
 
 
-def fd_gradient(value_fn, x, step_scale=1e-6):
-    return _central_differences(value_fn, x, step_scale)
+def fd_gradient(value_fn, x):
+    return _central_differences(value_fn, x)
 
 
-def fd_hessian(gradient_fn, x, step_scale=1e-6):
-    H = _central_differences(gradient_fn, x, step_scale)
+def fd_hessian(gradient_fn, x):
+    H = _central_differences(gradient_fn, x)
     return 0.5 * (H + H.T)
 
 
-def check_loss(loss, points, rtol_grad=1e-5, rtol_hess=1e-4, step_scale=1e-6):
+def check_loss(loss, points, rtol_grad=1e-5, rtol_hess=1e-4):
     """Check analytic gradient/Hessian of a SmoothLoss against central
     differences at the given points; returns a list of failure messages.
 
@@ -37,8 +37,8 @@ def check_loss(loss, points, rtol_grad=1e-5, rtol_hess=1e-4, step_scale=1e-6):
     for x in points:
         try:
             f, g, H = loss.evaluate(x)
-            gf = fd_gradient(lambda p: loss.evaluate(p)[0], x, step_scale)
-            Hf = fd_hessian(lambda p: loss.evaluate(p)[1], x, step_scale)
+            gf = fd_gradient(lambda p: loss.evaluate(p)[0], x)
+            Hf = fd_hessian(lambda p: loss.evaluate(p)[1], x)
         except (DomainError, EvaluationError):
             continue
         if not all(np.all(np.isfinite(a)) for a in (f, g, H, gf, Hf)):
@@ -53,13 +53,13 @@ def check_loss(loss, points, rtol_grad=1e-5, rtol_hess=1e-4, step_scale=1e-6):
     return failures
 
 
-def check_transform(t, ys, rtol=1e-5, step_scale=1e-7):
-    """Check phi' against FD of phi and phi'' against FD of phi' on samples."""
+def check_transform(t, ys, rtol=1e-5):
+    """Check phi' against FD of phi and phi'' against FD of phi' (step 1e-7 (1 + |y|))."""
     failures = []
     for y in ys:
-        if not (t.contains(y - 2 * step_scale * (1 + abs(y))) and t.contains(y + 2 * step_scale * (1 + abs(y)))):
+        h = 1e-7 * (1.0 + abs(y))
+        if not (t.contains(y - 2.0 * h) and t.contains(y + 2.0 * h)):
             continue
-        h = step_scale * (1.0 + abs(y))
         d1 = (t.phi(y + h) - t.phi(y - h)) / (2.0 * h)
         d2 = (t.phi_prime(y + h) - t.phi_prime(y - h)) / (2.0 * h)
         p1, p2 = t.phi_prime(y), t.phi_double_prime(y)

@@ -35,6 +35,9 @@ from .transforms import compose, known_transform_specs, transform_from_spec
 
 USAGE_ERROR, NUMERICAL_ERROR, IO_ERROR = 2, 3, 4
 
+#: The --schedule specs.
+SCHEDULES = ("const:<a>", "induced:<a>", "forwarded:<a>", "armijo")
+
 
 def _count(text):
     """argparse type of --points and --seed: a non-negative integer."""
@@ -110,7 +113,7 @@ def _schedule(spec, loss, t):
         schedule = BacktrackingSchedule()
     else:
         if head not in ("const", "induced", "forwarded"):
-            raise InputError(f"unknown schedule '{spec}' (const:<a>, induced:<a>, forwarded:<a>, armijo)")
+            raise InputError(f"unknown schedule '{spec}' ({', '.join(SCHEDULES)})")
         try:
             alpha = float(rest or 1.0)
         except ValueError:
@@ -144,6 +147,7 @@ def cmd_run(args):
     return 0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_convexify(args):
     loss = loss_from_spec(args.loss)
     if loss.dimension != 1:
@@ -268,7 +272,7 @@ def build_parser():
         epilog=(
             "losses: " + ", ".join(known_loss_names()) + "\n"
             "transforms: " + ", ".join(known_transform_specs()) + "\n"
-            "schedules: const:<a>, induced:<a>, forwarded:<a>, armijo\n"
+            "schedules: " + ", ".join(SCHEDULES) + "\n"
             "recipes: " + ", ".join(sorted(RECIPES))
         ),
     )
@@ -285,7 +289,7 @@ def build_parser():
     p.add_argument("--loss", required=True)
     p.add_argument("--transform", default="none")
     p.add_argument("--schedule", default="const:1.0",
-                   help="const:<a> | induced:<a> (drives f) | forwarded:<a> (drives phi(f)) | armijo")
+                   help=" | ".join(SCHEDULES) + "; with --transform, induced drives f and the others phi(f)")
     p.add_argument("--x0", required=True)
     p.add_argument("--max-iters", type=int, dest="max_iters")
     p.add_argument("--gtol", type=float)

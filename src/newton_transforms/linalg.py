@@ -103,14 +103,14 @@ def symmetrize_batch(M):
     return 0.5 * (M + Mt)
 
 
-def pinv_solve_batch(H, G, rel_tol=DEFAULT_PINV_RTOL):
+def pinv_solve_batch(H, G):
     """pinv_solve() for every row: H (N, d, d), G (N, d) -> P (N, d)."""
-    H, G = _check_pinv_args(H, G, rel_tol, stacked=True)
+    H, G = _check_pinv_args(H, G, DEFAULT_PINV_RTOL, stacked=True)
     if H.shape[0] == 0:
         return np.zeros_like(G)
     w, V = np.linalg.eigh(H)
     wmax = np.max(np.abs(w), axis=1)
-    keep = (np.abs(w) >= rel_tol * wmax[:, None]) & (wmax > 0.0)[:, None]
+    keep = (np.abs(w) >= DEFAULT_PINV_RTOL * wmax[:, None]) & (wmax > 0.0)[:, None]
     inv = np.zeros_like(w)
     inv[keep] = 1.0 / w[keep]
     VtG = np.matmul(V.transpose(0, 2, 1), G[:, :, None])[:, :, 0]

@@ -16,6 +16,9 @@ import numpy as np
 from .errors import DomainError, EvaluationError, InputError
 from .linalg import min_eigenvalue
 
+#: Largest polynorm dimension a spec may ask for (desk scale; d x d is allocated first).
+POLYNORM_MAX_DIMENSION = 10
+
 
 def as_point(x, dimension=None):
     """Coerce scalars/sequences to a finite float vector."""
@@ -104,9 +107,14 @@ class RadialLoss:
     center: float = 0.0
 
     def psi_inverse(self, c):
+        """The radius r >= 0 with psi(r) = c; EvaluationError when r overflows."""
         if c < 0.0 or c >= self.psi_sup:
             raise DomainError(f"psi_inverse of '{self.name}' defined on [0, {self.psi_sup}), got {c}")
-        return self._psi_inverse(c)
+        with np.errstate(over="ignore"):
+            r = self._psi_inverse(c)
+        if not np.isfinite(r):
+            raise EvaluationError(f"psi_inverse of '{self.name}' overflows at {c}")
+        return r
 
 
 # ----------------------------------------------------------------------------
@@ -291,12 +299,12 @@ def make_polytope(rows, offsets, p):
     return SmoothLoss(name=f"polytope(p={p},n={A.shape[0]},d={d})", dimension=d, _eval=ev, min_value=0.0)
 
 
-def make_polytope_instance(p, seed=1, d=10, n=20):
-    """The seeded feasibility experiment: normal rows, b = 1, start 10*ones."""
+def make_polytope_instance(p, seed=1):
+    """The seeded feasibility experiment: 20 normal rows in d = 10, b = 1, start 10*ones."""
     rng = np.random.default_rng(seed)
-    loss = make_polytope(rng.standard_normal((n, d)), np.ones(n), p)
+    loss = make_polytope(rng.standard_normal((20, 10)), np.ones(20), p)
     loss.name = f"polytope(p={p},seed={seed})"
-    return loss, 10.0 * np.ones(d)
+    return loss, 10.0 * np.ones(10)
 
 
 # ----------------------------------------------------------------------------
@@ -333,15 +341,16 @@ def _cauchy_profile():
     )
 
 
-_RADIAL = {"geman_mcclure": _gm_profile, "welsh": _welsh_profile, "cauchy": _cauchy_profile}
+#: The radial profiles by name.
+RADIAL = {"geman_mcclure": _gm_profile, "welsh": _welsh_profile, "cauchy": _cauchy_profile}
 
 
 def make_radial(name, center=0.0):
     """Radial profile psi with derivatives and inverse (Geman-McClure, Welsh, Cauchy)."""
     try:
-        kw = _RADIAL[name]()
+        kw = RADIAL[name]()
     except KeyError:
-        raise InputError(f"unknown radial loss '{name}'; choose from {sorted(_RADIAL)}") from None
+        raise InputError(f"unknown radial loss '{name}'; choose from {sorted(RADIAL)}") from None
     return RadialLoss(name=name, center=float(center), **kw)
 
 
@@ -426,7 +435,7 @@ def spec_number(options, key, default, cast=float):
 def radial_1d(name):
     """The radial profile a 1D loss name such as 'cauchy1d' stands for, or
     None when the name is not one of them."""
-    if name.endswith("1d") and name[:-2] in _RADIAL:
+    if name.endswith("1d") and name[:-2] in RADIAL:
         return make_radial(name[:-2])
     return None
 
@@ -453,14 +462,14 @@ def loss_from_spec(spec):
         loss, _ = make_polytope_instance(p, seed=seed)
         return loss
     d = spec_number(kv, "d", 2, int)
-    if d < 1:
-        raise InputError(f"polynorm dimension must be positive, got {d}")
+    if not 1 <= d <= POLYNORM_MAX_DIMENSION:
+        raise InputError(f"polynorm dimension must lie in [1, {POLYNORM_MAX_DIMENSION}], got {d}")
     M = np.random.default_rng(seed).standard_normal((d, d))
     return make_polynorm(M @ M.T + d * np.eye(d), p)
 
 
 def known_loss_names():
-    return sorted(_BENCHMARKS) + [f"{n}1d" for n in sorted(_RADIAL)] + [
+    return sorted(_BENCHMARKS) + [f"{n}1d" for n in sorted(RADIAL)] + [
         "counterexample",
         "polynorm:p=<P>[:d=<D>][:seed=<S>]",
         "polytope:p=<P>[:seed=<S>]",

@@ -16,7 +16,7 @@ from typing import List
 import numpy as np
 
 from .errors import DomainError, EvaluationError, InputError, SingularScalingError
-from .linalg import DEFAULT_PINV_RTOL, dual_norm_sq, norm_exceeds, symmetrize
+from .linalg import dual_norm_sq, norm_exceeds, symmetrize
 from .losses import SmoothLoss, as_point
 from .transforms import SCALING_ZERO_TOL, ScalarTransform, compose, forward_stepsize, induced_stepsize, scaling_factor
 
@@ -33,10 +33,9 @@ class NewtonConfig:
     gtol: float = 1e-10
     xtol: float = 1e-10
     divergence_radius: float = 1e6
-    pinv_rel_tol: float = DEFAULT_PINV_RTOL
 
     def __post_init__(self):
-        if min(self.max_iters, self.gtol, self.xtol, self.divergence_radius, self.pinv_rel_tol) <= 0:
+        if min(self.max_iters, self.gtol, self.xtol, self.divergence_radius) <= 0:
             raise InputError("all NewtonConfig fields must be positive")
 
 
@@ -51,7 +50,6 @@ class StepState:
     direction: np.ndarray  # pinv(H) g
     dual_sq: float  # <g, pinv(H) g> of the driven loss
     loss: SmoothLoss
-    cfg: NewtonConfig
 
 
 @dataclass
@@ -128,7 +126,7 @@ class ForwardedSchedule:
 
     def __call__(self, state):
         f, g, H = self.base_loss.evaluate(state.x)
-        dual = dual_norm_sq(H, g, state.cfg.pinv_rel_tol)
+        dual = dual_norm_sq(H, g)
         s = scaling_factor(self.transform, f, dual.value)
         if abs(s) <= SCALING_ZERO_TOL:
             raise SingularScalingError(f"scaling factor {s} singular at iterate {state.k}")
@@ -150,30 +148,25 @@ class InducedSchedule:
 
 
 class BacktrackingSchedule:
-    """Armijo backtracking on the driven loss: smallest m with
-    f(x - beta^m a0 p) <= f(x) - c1 beta^m a0 <g, p>."""
+    """Armijo backtracking on the driven loss from a unit step: smallest m
+    below max_backtracks with f(x - 2^-m p) <= f(x) - 1e-4 2^-m <g, p>."""
 
-    def __init__(self, beta=0.5, c1=1e-4, alpha0=1.0, max_backtracks=60):
-        if not (0 < beta < 1 and 0 < c1 < 1):
-            raise InputError("backtracking requires beta, c1 in (0, 1)")
-        self.beta = beta
-        self.c1 = c1
-        self.alpha0 = alpha0
+    def __init__(self, max_backtracks=60):
         self.max_backtracks = max_backtracks
 
     def __call__(self, state):
         slope = float(state.g @ state.direction)
-        alpha = self.alpha0
+        alpha = 1.0
         for _ in range(self.max_backtracks):
             trial = state.x - alpha * state.direction
             try:
                 f_trial = state.loss.value(trial)
             except (DomainError, EvaluationError):
-                alpha *= self.beta
+                alpha *= 0.5
                 continue
-            if f_trial <= state.f - self.c1 * alpha * slope:
+            if f_trial <= state.f - 1e-4 * alpha * slope:
                 return alpha, np.nan
-            alpha *= self.beta
+            alpha *= 0.5
         return alpha, np.nan
 
 
@@ -213,7 +206,7 @@ def run_newton(loss, schedule, x0, cfg=None):
             push(x)
             return end(DIVERGED)
 
-        solve = dual_norm_sq(H, g, cfg.pinv_rel_tol)
+        solve = dual_norm_sq(H, g)
         push(x, f, solve.grad_norm, solve.value, solve.in_range)
 
         near_min = loss.minimizer is not None and not norm_exceeds(x - loss.minimizer, cfg.xtol)
@@ -222,7 +215,7 @@ def run_newton(loss, schedule, x0, cfg=None):
         if k == cfg.max_iters:
             return end(MAX_ITERS)
 
-        state = StepState(k=k, x=x, f=f, g=g, direction=solve.direction, dual_sq=solve.value, loss=loss, cfg=cfg)
+        state = StepState(k=k, x=x, f=f, g=g, direction=solve.direction, dual_sq=solve.value, loss=loss)
         try:
             alpha, scal = schedule(state)
         except SingularScalingError:
@@ -288,13 +281,14 @@ def lm_step(loss, x, lam):
         raise InputError(f"regularized Hessian singular at lambda = {lam}") from None
 
 
-def _golden_min(fn, a, b, tol_abs=1e-10, max_iter=200):
+def _golden_min(fn, a, b):
+    """Golden-section minimum of fn on [a, b], to a bracket of 1e-10 or 200 rounds."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(max_iter):
-        if b - a <= tol_abs:
+    for _ in range(200):
+        if b - a <= 1e-10:
             break
         if fc < fd:
             b, d, fd = d, c, fc
@@ -308,13 +302,8 @@ def _golden_min(fn, a, b, tol_abs=1e-10, max_iter=200):
     return xm, fn(xm)
 
 
-def _lm_candidates(lam_max=1e6, per_decade=8):
-    decades = np.logspace(-8, np.log10(lam_max), int(per_decade * 14) + 1)
-    return np.concatenate([-decades[::-1], [0.0], decades])
-
-
-def lm_invariance_residual(loss, t, x, lam, lam_max=1e6):
-    """min over scalar lambda_phi in [-lam_max, lam_max] of
+def lm_invariance_residual(loss, t, x, lam):
+    """min over scalar lambda_phi in [-1e6, 1e6] of
     || lm_step(f, x, lam) - lm_step(phi(f), x, lambda_phi) ||.
 
     A strictly positive result certifies that no scalar regularization on the
@@ -349,10 +338,11 @@ def lm_invariance_residual(loss, t, x, lam, lam_max=1e6):
         r = np.linalg.norm(step - target)
         return r if np.isfinite(r) else np.inf
 
-    cand = _lm_candidates(lam_max)
+    decades = np.logspace(-8, 6, 8 * 14 + 1)  # 8 candidates per decade
+    cand = np.concatenate([-decades[::-1], [0.0], decades])
     vals = np.array([residual(c) for c in cand])
     i = int(np.argmin(vals))
     lo = cand[max(i - 1, 0)]
     hi = cand[min(i + 1, len(cand) - 1)]
-    _, best = _golden_min(residual, lo, hi, tol_abs=1e-10)
+    _, best = _golden_min(residual, lo, hi)
     return float(min(best, vals[i]))

@@ -51,24 +51,22 @@ def adaptive_simpson(f, a, b, tol=DEFAULT_TOL):
 class CumulativeIntegral:
     """y -> integral of f from lo to y, with a prefix table over [lo, hi].
 
-    The table holds panel integrals at fixed breakpoints; evaluating at y
-    costs one partial-panel quadrature. Read-only after construction.
+    The table holds the integrals of 64 equal panels, each to DEFAULT_TOL / 64;
+    evaluating at y costs one partial-panel quadrature. Read-only after construction.
     """
 
-    def __init__(self, f, lo, hi, tol=DEFAULT_TOL, n_panels=64):
+    def __init__(self, f, lo, hi):
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise InputError(f"invalid cumulative-integral range [{lo}, {hi}]")
         self.f = f
         self.lo = float(lo)
         self.hi = float(hi)
-        self.tol = tol
-        self.edges = np.linspace(lo, hi, n_panels + 1)
-        panel_tol = tol / max(n_panels, 1)
-        panels = [adaptive_simpson(f, self.edges[i], self.edges[i + 1], panel_tol) for i in range(n_panels)]
+        self.edges = np.linspace(lo, hi, 64 + 1)
+        panels = [adaptive_simpson(f, self.edges[i], self.edges[i + 1], DEFAULT_TOL / 64) for i in range(64)]
         self.prefix = np.concatenate([[0.0], np.cumsum(panels)])
 
     def __call__(self, y):
         if y < self.lo or y > self.hi:
             raise DomainError(f"cumulative integral evaluated at {y} outside [{self.lo}, {self.hi}]")
         i = min(bisect.bisect_right(self.edges, y) - 1, len(self.edges) - 2)
-        return float(self.prefix[i] + adaptive_simpson(self.f, self.edges[i], y, self.tol))
+        return float(self.prefix[i] + adaptive_simpson(self.f, self.edges[i], y))

@@ -17,7 +17,7 @@ import os
 import numpy as np
 
 from .convexify import compact_constant, exp_convexifier, verify_convexified
-from .losses import as_1d_loss, make_benchmark, make_polytope_instance, make_radial
+from .losses import RADIAL, as_1d_loss, make_benchmark, make_polytope_instance, make_radial
 from .newton import (
     CONVERGED,
     DIVERGED,
@@ -32,8 +32,6 @@ from .newton import (
 from .scans import best_fixed_stepsize, scan_convergence, scan_sign_flip
 from .starconvex import convergence_radius, convexity_radius, radial_star_loss
 from .transforms import compose, make_table1
-
-RADIAL_NAMES = ("geman_mcclure", "welsh", "cauchy")
 
 EQUIVALENCE_STARTS = {
     "rosenbrock": (-1.2, 1.0),
@@ -102,11 +100,11 @@ def recipe_fig1(out_dir):
     return {"max_deviation": dev}
 
 
-def _flip_recipe(out_dir, transform, stem, cfg=None, n=200):
+def _flip_recipe(out_dir, transform, stem, n=200):
     results = {}
     for lname in ("beale", "goldstein_price"):
         loss = make_benchmark(lname)
-        scan = scan_sign_flip(loss, transform, (-4, 4, n), (-4, 4, n), cfg=cfg, seed=0)
+        scan = scan_sign_flip(loss, transform, (-4, 4, n), (-4, 4, n), seed=0)
         scan.write_csv(_path(out_dir, f"{stem}_{lname}.csv"))
         neg = int(np.sum(scan.scaling_sign == -1))
         _require(neg > 0, f"{stem} on {lname}: no negative-scaling cells found")
@@ -177,7 +175,7 @@ def recipe_table3(out_dir):
     }
     rows = ["loss,variant,convexity_radius,empirical_basin_radius,basin_monotone"]
     out = {}
-    for name in RADIAL_NAMES:
+    for name in RADIAL:
         radial = make_radial(name)
         for variant, loss in (("original", as_1d_loss(radial)), ("transformed", radial_star_loss(radial)[0])):
             conv = convexity_radius(loss, bracket_hi=4.0)
@@ -194,13 +192,13 @@ def recipe_table3(out_dir):
     return out
 
 
-def recipe_polytope_sweep(out_dir, seed=1):
+def recipe_polytope_sweep(out_dir):
     """Best fixed stepsizes on the seeded feasibility instance, p = 2..5."""
     alphas = np.round(np.arange(0.1, 4.50001, 0.05), 10)
     rows = ["p,best_alpha,iterations"]
     stars = []
     for p in (2, 3, 4, 5):
-        loss, x0 = make_polytope_instance(p, seed=seed)
+        loss, x0 = make_polytope_instance(p, seed=1)
         res = best_fixed_stepsize(loss, x0, alphas)
         res.write_csv(_path(out_dir, f"sweep_p{p}.csv"))
         rows.append(f"{p},{res.best_alpha:.17g},{res.best_iterations}")

@@ -13,15 +13,18 @@ and scaling_factor) would leave it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .errors import DomainError, EvaluationError, InputError
-from .linalg import norm_exceeds, pinv_solve, pinv_solve_batch, row_dot, row_norm, symmetrize, symmetrize_batch
+from .linalg import norm_exceeds, pinv_solve, pinv_solve_batch, row_dot, row_norm, symmetrize
 from .newton import CONVERGED, DIVERGED, DOMAIN_ERROR, MAX_ITERS, ConstantSchedule, NewtonConfig, run_newton
 from .transforms import SCALING_ZERO_TOL, compose, scaling_factor
+
+#: A convergence-scan cell converged iff an iterate came this close to the minimizer.
+RADIUS_TOL = 1e-6
 
 
 @dataclass
@@ -42,10 +45,6 @@ class GridScan:
     error: np.ndarray
     cross_check_mismatches: int = 0
     cross_check_cells: int = 0
-
-    @property
-    def shape(self):
-        return self.scaling_sign.shape
 
     def write_csv(self, path):
         value_col = "scaling_sign" if self.kind == "sign" else "converged"
@@ -93,7 +92,7 @@ def _nodes(xs, ys):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def scan_sign_flip(loss, t, x_range, y_range=None, cfg=None, cross_check_fraction=0.01, seed=0):
+def scan_sign_flip(loss, t, x_range, y_range=None, cross_check_fraction=0.01, seed=0):
     """Sign of the stepsize scaling factor per grid cell.
 
     A random ~1% of valid cells is cross-validated by comparing the sign of
@@ -102,16 +101,14 @@ def scan_sign_flip(loss, t, x_range, y_range=None, cfg=None, cross_check_fractio
     is undefined or its derivatives are not finite is skipped and not
     counted.
     """
-    cfg = cfg or NewtonConfig()
     xs, ys = grid_axes(x_range, y_range)
     X = _nodes(xs, ys)
     n = len(X)
     f, G, H, error = loss.evaluate_batch(X)
     error |= ~(np.isfinite(f) & np.all(np.isfinite(G), axis=1) & np.all(np.isfinite(H), axis=(1, 2)))
     ok = np.flatnonzero(~error)
-    H = symmetrize_batch(H[ok])
-    G = G[ok]
-    P = pinv_solve_batch(H, G, cfg.pinv_rel_tol)
+    H, G = H[ok], G[ok]
+    P = pinv_solve_batch(H, G)
     dual = np.where(row_dot(G, G) == 0.0, 0.0, row_dot(G, P)).tolist()  # dual_norm_sq
     s = np.full(len(ok), np.nan)
     for j, (fj, qj) in enumerate(zip(f[ok].tolist(), dual)):
@@ -138,8 +135,8 @@ def scan_sign_flip(loss, t, x_range, y_range=None, cfg=None, cross_check_fractio
             continue
         if not (np.all(np.isfinite(gL)) and np.all(np.isfinite(HL))):
             continue  # phi' overflowed: no step on phi(f) to compare
-        step_f = pinv_solve(H[j], G[j], cfg.pinv_rel_tol)
-        step_L = pinv_solve(symmetrize(HL), gL, cfg.pinv_rel_tol)
+        step_f = pinv_solve(H[j], G[j])
+        step_L = pinv_solve(symmetrize(HL), gL)
         scan.cross_check_cells += 1
         if np.sign(float(step_f @ step_L)) != np.sign(s[j]):
             scan.cross_check_mismatches += 1
@@ -191,7 +188,7 @@ def lockstep_unit_newton(loss, X, cfg):
         if not live.size:
             break
         runs.final_value[live] = f
-        P = pinv_solve_batch(symmetrize_batch(H), G, cfg.pinv_rel_tol)
+        P = pinv_solve_batch(H, G)
         converged = (row_norm(G) <= cfg.gtol) | ~norm_exceeds(x - xstar, cfg.xtol)
         retire(converged, CONVERGED, k, x)
         if k == cfg.max_iters:
@@ -207,20 +204,18 @@ def lockstep_unit_newton(loss, X, cfg):
     return runs
 
 
-def scan_convergence(loss, t, x_range, y_range=None, cfg=None, radius_tol=1e-6):
+def scan_convergence(loss, t, x_range, y_range=None, cfg=None):
     """Unit-stepsize Newton run per cell (on phi(f) when a transform is given);
-    a cell converged iff some iterate came within radius_tol of the base
+    a cell converged iff some iterate came within RADIUS_TOL of the base
     loss's known minimizer.
 
     Convergence here is purely distance-based, so the per-cell runs stop on
-    iterate distance (xtol = radius_tol), not on gradient size: transformed
-    losses can have vanishing gradients far outside the radius_tol ball.
+    iterate distance (xtol = RADIUS_TOL), not on gradient size: transformed
+    losses can have vanishing gradients far outside the RADIUS_TOL ball.
     """
     if loss.minimizer is None:
         raise InputError("scan_convergence needs a loss with known minimizer")
-    cfg = cfg or NewtonConfig()
-    run_cfg = NewtonConfig(max_iters=cfg.max_iters, gtol=1e-300, xtol=radius_tol,
-                           divergence_radius=cfg.divergence_radius, pinv_rel_tol=cfg.pinv_rel_tol)
+    run_cfg = replace(cfg or NewtonConfig(), gtol=1e-300, xtol=RADIUS_TOL)
     xs, ys = grid_axes(x_range, y_range)
     driven = loss if t is None else compose(loss, t)
     runs = lockstep_unit_newton(driven, _nodes(xs, ys), run_cfg)

@@ -23,18 +23,22 @@ from .newton import CONVERGED, ConstantSchedule, NewtonConfig, run_newton
 from .quadrature import adaptive_simpson
 from .transforms import ScalarTransform
 
-QUAD_TOL = 1e-10
+#: Curvature at or above -CURVATURE_TOL counts as nonnegative.
+CURVATURE_TOL = 1e-10
+
+#: Multiples of bracket_hi probed before a radius is reported as +inf.
+PROBE_FACTORS = (10.0, 100.0, 1000.0)
 
 
 # ----------------------------------------------------------------------------
 # Generic line-integral star value (any loss with known minimizer)
 # ----------------------------------------------------------------------------
 
-def star_value(base, x, quad_tol=1e-8, delta=1e-4):
+def star_value(base, x):
     """g(x) = f(x*) + integral_0^1 <grad f(x* + t (x - x*)), x - x*> / t dt.
 
-    The integrand tends to <hess f(x*) d, d> as t -> 0, so [0, delta] is
-    integrated by that limit and [delta, 1] by adaptive Simpson.
+    The integrand tends to <hess f(x*) d, d> as t -> 0, so [0, 1e-4] is
+    integrated by that limit and [1e-4, 1] by adaptive Simpson to 1e-8.
     """
     if base.minimizer is None:
         raise InputError("star_value needs a loss with known minimizer")
@@ -49,8 +53,8 @@ def star_value(base, x, quad_tol=1e-8, delta=1e-4):
         g = base.evaluate(xstar + t * d)[1]
         return float(g @ d) / t
 
-    head = delta * float(d @ (H_star @ d))
-    return float(f_star) + head + adaptive_simpson(integrand, delta, 1.0, quad_tol)
+    head = 1e-4 * float(d @ (H_star @ d))
+    return float(f_star) + head + adaptive_simpson(integrand, 1e-4, 1.0, 1e-8)
 
 
 # ----------------------------------------------------------------------------
@@ -66,19 +70,27 @@ def _ratio_integrand(radial):
     return fn
 
 
-def _profile_integral(radial, r, tol=QUAD_TOL):
+def _profile_integral(radial, r):
     """I(r) = integral_0^r psi'(t)/t dt."""
-    return adaptive_simpson(_ratio_integrand(radial), 0.0, r, tol)
+    return adaptive_simpson(_ratio_integrand(radial), 0.0, r)
 
 
-def _excess_integral(radial, r, tol=QUAD_TOL):
+def _excess_integral(radial, r):
     """psi'(r) - I(r) = integral_0^r [psi''(t) - psi'(t)/t] dt, stable near 0."""
     ratio = _ratio_integrand(radial)
 
     def fn(t):
         return radial.psi_double_prime(t) - ratio(t)
 
-    return adaptive_simpson(fn, 0.0, r, tol)
+    return adaptive_simpson(fn, 0.0, r)
+
+
+def _star_curvature(radial, r):
+    """Psi''(r) = psi''(r) + psi'(r)/r of the star-transformed profile, with
+    its limit 2 psi''(0) at r = 0."""
+    if r == 0.0:
+        return 2.0 * radial.psi_double_prime(0.0)
+    return radial.psi_double_prime(r) + radial.psi_prime(r) / r
 
 
 def radial_star_loss(radial):
@@ -97,19 +109,15 @@ def radial_star_loss(radial):
         t = x[0] - c
         r = abs(t)
         if r == 0.0:
-            return f_star, np.zeros(1), np.array([[2.0 * radial.psi_double_prime(0.0)]])
+            return f_star, np.zeros(1), np.array([[_star_curvature(radial, r)]])
         sgn = 1.0 if t > 0 else -1.0
         I = _profile_integral(radial, r)
         val = f_star + r * I
         grad = (I + radial.psi_prime(r)) * sgn
-        hess = radial.psi_double_prime(r) + radial.psi_prime(r) / r
-        return val, np.array([grad]), np.array([[hess]])
+        return val, np.array([grad]), np.array([[_star_curvature(radial, r)]])
 
     def hess(x):
-        r = abs(x[0] - c)
-        if r == 0.0:
-            return np.array([[2.0 * radial.psi_double_prime(0.0)]])
-        return np.array([[radial.psi_double_prime(r) + radial.psi_prime(r) / r]])
+        return np.array([[_star_curvature(radial, abs(x[0] - c))]])
 
     loss = SmoothLoss(
         name=f"star({radial.name})1d",
@@ -171,21 +179,16 @@ def make_star_transform(name):
 # Convexity neighborhood and radii
 # ----------------------------------------------------------------------------
 
-def convexity_neighborhood(radial, M, grid_step=1e-3, tol=1e-10):
-    """True iff psi''(r) + psi'(r)/r >= -tol on (0, M] (grid) and at r -> 0.
+def convexity_neighborhood(radial, M, grid_step=1e-3):
+    """True iff psi''(r) + psi'(r)/r >= -CURVATURE_TOL on (0, M] (grid) and at r -> 0.
 
     This is the curvature of the star-transformed profile; nonnegativity
     certifies convexity of the transformed loss on the ball of radius M.
     """
     if M <= 0:
         raise InputError("neighborhood radius must be positive")
-    if 2.0 * radial.psi_double_prime(0.0) < -tol:
-        return False
     rs = np.arange(grid_step, M + 0.5 * grid_step, grid_step)
-    for r in rs:
-        if radial.psi_double_prime(r) + radial.psi_prime(r) / r < -tol:
-            return False
-    return True
+    return not any(_star_curvature(radial, r) < -CURVATURE_TOL for r in (0.0, *rs))
 
 
 @dataclass
@@ -204,16 +207,17 @@ def _check_bracket(bracket_hi):
         raise InputError(f"bracket_hi must be positive and finite, got {bracket_hi}")
 
 
-def _bisect_predicate(predicate, bracket_hi, probe_factors=(10.0, 100.0, 1000.0), n_bisect=50, min_probe=0.0):
-    """Largest x0 with predicate true, assuming monotone predicate; +inf when
-    the probes at bracket_hi * factors all pass. A predicate that only holds
-    below min_probe counts as failing everywhere (broken loss)."""
+def _bisect_predicate(predicate, bracket_hi, min_probe=0.0):
+    """Largest x0 with predicate true (50 bisection rounds), assuming monotone
+    predicate; +inf when the probes at bracket_hi * PROBE_FACTORS all pass. A
+    predicate that only holds below min_probe counts as failing everywhere
+    (broken loss)."""
     if predicate(bracket_hi):
-        if all(predicate(bracket_hi * f) for f in probe_factors):
+        if all(predicate(bracket_hi * f) for f in PROBE_FACTORS):
             return np.inf, bracket_hi
         lo = bracket_hi
         hi = bracket_hi
-        for f in probe_factors:
+        for f in PROBE_FACTORS:
             if predicate(bracket_hi * f):
                 lo = bracket_hi * f
             else:
@@ -232,7 +236,7 @@ def _bisect_predicate(predicate, bracket_hi, probe_factors=(10.0, 100.0, 1000.0)
                 break
         if lo is None:
             raise InputError("predicate fails at arbitrarily small starts: broken loss")
-    for _ in range(n_bisect):
+    for _ in range(50):
         mid = 0.5 * (lo + hi)
         if predicate(mid):
             lo = mid
@@ -272,14 +276,14 @@ def convergence_radius(loss_1d, bracket_hi=8.0, cfg=None, verify_monotone=True):
     return RadiusResult(float(radius), monotone)
 
 
-def convexity_radius(loss_1d, bracket_hi=8.0, n_grid=400, tol=1e-10, probe_factors=(10.0, 100.0, 1000.0)):
-    """Largest M such that the 1D loss curvature stays >= -tol on (0, M].
+def convexity_radius(loss_1d, bracket_hi=8.0):
+    """Largest M such that the 1D loss curvature stays >= -CURVATURE_TOL on (0, M].
 
     This is the radius of the convexity neighborhood; for the three radial
     losses and their star transforms it reproduces the reported radii
     (1/sqrt(3), 1/sqrt(2), 1 original; 1, 1, +inf transformed). The first
-    sign change of the curvature is located on an n_grid scan and refined by
-    bisection (50 rounds).
+    sign change of the curvature is located on a 400-point scan and refined
+    by bisection (50 rounds).
     """
     _check_bracket(bracket_hi)
     xstar = float(loss_1d.minimizer[0])
@@ -288,14 +292,14 @@ def convexity_radius(loss_1d, bracket_hi=8.0, n_grid=400, tol=1e-10, probe_facto
         return loss_1d.hessian([xstar + r])[0, 0]
 
     def first_negative(lo, hi):
-        for r in np.linspace(lo, hi, n_grid):
-            if curvature(r) < -tol:
+        for r in np.linspace(lo, hi, 400):
+            if curvature(r) < -CURVATURE_TOL:
                 return r
         return None
 
-    neg = first_negative(bracket_hi / n_grid, bracket_hi)
+    neg = first_negative(bracket_hi / 400, bracket_hi)
     if neg is None:
-        for f in probe_factors:
+        for f in PROBE_FACTORS:
             if first_negative(bracket_hi, bracket_hi * f) is not None:
                 neg = bracket_hi * f
                 break
@@ -304,7 +308,7 @@ def convexity_radius(loss_1d, bracket_hi=8.0, n_grid=400, tol=1e-10, probe_facto
     lo, hi = 1e-12, neg
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        if curvature(mid) < -tol:
+        if curvature(mid) < -CURVATURE_TOL:
             hi = mid
         else:
             lo = mid

@@ -15,8 +15,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, InputError, SingularScalingError
-from .losses import SmoothLoss, spec_number, spec_options
+from .errors import DomainError, EvaluationError, InputError, SingularScalingError
+from .losses import RADIAL, SmoothLoss, spec_number, spec_options
 
 #: |scaling| at or below this is treated as singular (transformed Hessian
 #: degenerates along grad f); the paper does not treat this case, so fail loudly.
@@ -153,7 +153,6 @@ class TransformedLoss(SmoothLoss):
     hess L = phi'(f) hess f + phi''(f) grad f grad f^T.
     """
 
-    base: SmoothLoss = None
     transform: ScalarTransform = None
 
 
@@ -168,19 +167,17 @@ def compose(base, t):
         return t.phi(f), p1 * g, p1 * H + p2 * np.outer(g, g)
 
     def ev_batch(X):
-        # phi and its derivatives are scalar functions: apply them per row.
+        # phi and its derivatives are scalar functions: apply them per row. A
+        # row where ev would raise is an error row.
         f, G, H, err = base.evaluate_batch(X)
         phi, p1, p2 = (np.full(len(f), np.nan) for _ in range(3))
         for i in np.flatnonzero(~err):
             y = float(f[i])
             try:
                 t.require(y)
-            except DomainError:
+                p1[i], p2[i], phi[i] = t.phi_prime(y), t.phi_double_prime(y), t.phi(y)
+            except (DomainError, EvaluationError):
                 err[i] = True
-                continue
-            p1[i] = t.phi_prime(y)
-            p2[i] = t.phi_double_prime(y)
-            phi[i] = t.phi(y)
         G = np.where(err[:, None], np.nan, G)
         return (phi, p1[:, None] * G,
                 p1[:, None, None] * H + p2[:, None, None] * (G[:, :, None] * G[:, None, :]), err)
@@ -195,7 +192,6 @@ def compose(base, t):
         minimizer=None if base.minimizer is None else np.array(base.minimizer),
         min_value=min_value,
         _eval_batch=ev_batch,
-        base=base,
         transform=t,
     )
 
@@ -239,5 +235,5 @@ def transform_from_spec(spec):
 
 
 def known_transform_specs():
-    return ["none", "linear:a=<A>:b=<B>", "poly:r=<R>", "exp:a=<A>", "log:a=<A>",
-            "sigmoid", "star:geman_mcclure", "star:welsh", "star:cauchy"]
+    return (["none", "linear:a=<A>:b=<B>", "poly:r=<R>", "exp:a=<A>", "log:a=<A>", "sigmoid"]
+            + [f"star:{name}" for name in RADIAL])

@@ -102,6 +102,12 @@ class TestAnalysis:
         header = out.read_text().splitlines()[0]
         assert header == "x,f,r,min_eig_before,min_eig_after,c"
 
+    @pytest.mark.parametrize("grid", ["--grid=1e200:3e200:1e200", "--grid=-1e200:3e200:1e200"])
+    def test_convexify_overflowing_grid_exit_2(self, tmp_path, grid):
+        # Runs under the suite's error::RuntimeWarning: an overflow warning
+        # from the loss would end the command with an exception, not exit 2.
+        assert run_cli(tmp_path, "convexify", "--loss", "cauchy1d", "--x0", "2", grid) == 2
+
 
 class TestRecipes:
     def test_fig1_recipe_files(self, tmp_path):
@@ -150,6 +156,8 @@ MALFORMED = [
     "run --loss beale --transform sigmoid:x --x0 1,1",
     "run --loss polynorm:p=x --x0 1,1",
     "run --loss polynorm:d=0 --x0 1",
+    "run --loss polynorm:d=100000 --x0 1,1",
+    "run --loss polynorm:d=100000000000000000000 --x0 1,1",
     "run --loss beale --schedule const:zz --x0 1,1",
     "sweep-alpha --loss polytope:p=2 --alphas 1:2",
     "sweep-alpha --loss polytope:p=2 --alphas 1:2:0",

@@ -18,7 +18,7 @@ from newton_transforms.scans import (
     scan_convergence,
     scan_sign_flip,
 )
-from newton_transforms.transforms import SCALING_ZERO_TOL, compose, make_table1, scaling_factor
+from newton_transforms.transforms import SCALING_ZERO_TOL, compose, make_table1, scaling_factor, transform_from_spec
 
 TRANSFORMS = [("polynomial", dict(r=0.5)), ("polynomial", dict(r=1.0)), ("polynomial", dict(r=2.0)),
               ("logarithmic", dict(a=1.0))]
@@ -37,9 +37,9 @@ def _bits(v):
     return np.float64(v).tobytes()
 
 
-def _scalar_convergence(driven, x, radius_tol=1e-6):
+def _scalar_convergence(driven, x, radius_tol=1e-6, max_iters=CFG.max_iters):
     """What the per-cell scan recorded: (converged, iterations, error, final_value)."""
-    cfg = NewtonConfig(max_iters=CFG.max_iters, gtol=1e-300, xtol=radius_tol)
+    cfg = NewtonConfig(max_iters=max_iters, gtol=1e-300, xtol=radius_tol)
     tr = run_newton(driven, ConstantSchedule(1.0), x, cfg)
     with np.errstate(over="ignore"):
         dists = [np.linalg.norm(xk - driven.minimizer) for xk in tr.xs if np.all(np.isfinite(xk))]
@@ -48,14 +48,15 @@ def _scalar_convergence(driven, x, radius_tol=1e-6):
             _bits(finite[-1] if finite else np.nan)), tr
 
 
-def _assert_convergence_matches(loss, t, x_range, y_range):
+def _assert_convergence_matches(loss, t, x_range, y_range, cfg=CFG):
     driven = loss if t is None else compose(loss, t)
-    scan = scan_convergence(loss, t, x_range, y_range, cfg=CFG)
+    scan = scan_convergence(loss, t, x_range, y_range, cfg=cfg)
     for ix, iy, x in _cells(x_range, y_range):
-        want, _ = _scalar_convergence(driven, x)
+        want, _ = _scalar_convergence(driven, x, max_iters=cfg.max_iters)
         got = (bool(scan.converged[ix, iy]), int(scan.iterations[ix, iy]), bool(scan.error[ix, iy]),
                _bits(scan.final_value[ix, iy]))
         assert got == want, (ix, iy)
+    return scan
 
 
 def _assert_sign_flip_matches(loss, t, x_range, y_range):
@@ -63,9 +64,10 @@ def _assert_sign_flip_matches(loss, t, x_range, y_range):
     assert scan.cross_check_mismatches == 0
     for ix, iy, x in _cells(x_range, y_range):
         try:
-            f, g, H = loss.evaluate(x)
-            q = dual_norm_sq(symmetrize(H), g).value
-            s = scaling_factor(t, f, q)
+            with np.errstate(over="ignore", invalid="ignore"):  # as in scan_sign_flip
+                f, g, H = loss.evaluate(x)
+                q = dual_norm_sq(symmetrize(H), g).value
+                s = scaling_factor(t, f, q)
         except (DomainError, EvaluationError):
             assert scan.error[ix, iy] and scan.scaling_sign[ix, iy] == 0, (ix, iy)
             continue
@@ -96,6 +98,21 @@ def test_sign_flip_domain_error_cells():
     quadratic = make_polynorm(np.eye(2), 2)
     _assert_sign_flip_matches(quadratic, make_table1("polynomial", r=0.5), (-1.0, 1.0, 5), (-1.0, 1.0, 5))
     assert scan_sign_flip(quadratic, make_table1("polynomial", r=0.5), (-1.0, 1.0, 5), (-1.0, 1.0, 5)).error.sum() == 1
+
+
+def test_star_transform_overflow_cells():
+    # psi^{-1}(f) of star:cauchy overflows for f above about 709, which Beale
+    # exceeds on most of [-4, 4]^2: runs end at domain_error and both scans
+    # record error cells, as the scalar path does. Every star evaluation runs
+    # quadrature, so the grids and the iteration cap stay small.
+    beale, t = make_benchmark("beale"), transform_from_spec("star:cauchy")
+    tr = run_newton(compose(beale, t), ConstantSchedule(1.0), [-4, 4])
+    assert (tr.termination, tr.iterations) == (DOMAIN_ERROR, 0)
+    grid = (-4.0, 4.0, 3)  # f > 709 at the four corners only
+    corners = [[True, False, True], [False, False, False], [True, False, True]]
+    _assert_sign_flip_matches(beale, t, grid, grid)
+    assert scan_sign_flip(beale, t, grid, grid).error.tolist() == corners
+    assert _assert_convergence_matches(beale, t, grid, grid, NewtonConfig(max_iters=3)).error.tolist() == corners
 
 
 def test_fallback_loss_without_batch_formula():

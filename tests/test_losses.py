@@ -161,6 +161,13 @@ class TestRadial:
         with pytest.raises(DomainError):
             r.psi_inverse(-0.1)
 
+    def test_inverse_overflow_is_an_evaluation_error(self):
+        # sqrt(expm1(c)) overflows for c above about 709.78
+        r = make_radial("cauchy")
+        assert np.isfinite(r.psi_inverse(709.0))
+        with pytest.raises(EvaluationError):
+            r.psi_inverse(710.0)
+
     @pytest.mark.parametrize("name", ["geman_mcclure", "welsh", "cauchy"])
     def test_1d_loss_derivatives(self, name):
         loss = as_1d_loss(make_radial(name))
