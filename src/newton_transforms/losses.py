@@ -27,7 +27,7 @@ def as_point(x, dimension=None):
         raise InputError(f"point must be one-dimensional, got shape {p.shape}")
     if dimension is not None and p.shape[0] != dimension:
         raise InputError(f"point has dimension {p.shape[0]}, expected {dimension}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise InputError("point has non-finite entries")
     return p
 
@@ -287,11 +287,11 @@ def make_polytope(rows, offsets, p):
     def ev(x):
         s = A @ x - b
         act = s > 0.0
-        if not np.any(act):
+        if not act.any():
             return 0.0, np.zeros(d), np.zeros((d, d))
         sa = s[act]
         Aa = A[act]
-        f = float(np.sum(sa**p))
+        f = float((sa**p).sum())
         g = p * (sa ** (p - 1)) @ Aa
         H = p * (p - 1) * (Aa * (sa ** (p - 2))[:, None]).T @ Aa
         return f, g, H

@@ -18,7 +18,8 @@ import numpy as np
 from .errors import DomainError, EvaluationError, InputError, SingularScalingError
 from .linalg import dual_norm_sq, norm_exceeds, symmetrize
 from .losses import SmoothLoss, as_point
-from .transforms import SCALING_ZERO_TOL, ScalarTransform, compose, forward_stepsize, induced_stepsize, scaling_factor
+from .transforms import (SCALING_QUALIFIED_TOL, SCALING_ZERO_TOL, ScalarTransform, compose, forward_stepsize,
+                         induced_stepsize, scaling_factor)
 
 CONVERGED = "converged"
 DIVERGED = "diverged"
@@ -243,7 +244,7 @@ class EquivalenceResult:
     @property
     def qualified(self):
         """True when every transformed-run scaling factor stayed away from 0."""
-        return self.trace_L.termination != SINGULAR_SCALING and self.trace_L.min_abs_scaling > 1e-6
+        return self.trace_L.termination != SINGULAR_SCALING and self.trace_L.min_abs_scaling > SCALING_QUALIFIED_TOL
 
 
 def run_equivalence(loss, t, base_schedule, x0, cfg=None):

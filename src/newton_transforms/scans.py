@@ -2,26 +2,28 @@
 and the fixed-stepsize sweep for the polytope feasibility observation.
 
 Cells evaluate at grid nodes; per-cell failures are recorded as error cells,
-never raised, and overflow gives non-finite cells without a NumPy warning. Output ordering is by cell index, so identical configurations
-produce byte-identical CSV files.
+never raised, and overflow gives non-finite cells without a NumPy warning.
+Output ordering is by cell index, so identical configurations produce
+byte-identical CSV files.
 
-Both grid scans process all cells together: one batch evaluation per step
-(SmoothLoss.evaluate_batch) and stacked pseudoinverse solves. Every cell
-ends bit for bit as the scalar path (run_newton, or evaluate, dual_norm_sq
-and scaling_factor) would leave it.
+The scans and the sweep run in lockstep: all cells, or all stepsizes, in one
+batch evaluation per step (SmoothLoss.evaluate_batch) and stacked
+pseudoinverse solves. Every cell and sweep row ends bit for bit as the scalar
+path (run_newton, or evaluate, dual_norm_sq and scaling_factor) would leave it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .errors import DomainError, EvaluationError, InputError
 from .linalg import norm_exceeds, pinv_solve, pinv_solve_batch, row_dot, row_norm, symmetrize
-from .newton import CONVERGED, DIVERGED, DOMAIN_ERROR, MAX_ITERS, ConstantSchedule, NewtonConfig, run_newton
-from .transforms import SCALING_ZERO_TOL, compose, scaling_factor
+from .losses import as_point
+from .newton import CONVERGED, DIVERGED, DOMAIN_ERROR, MAX_ITERS, NewtonConfig
+from .transforms import SCALING_QUALIFIED_TOL, SCALING_ZERO_TOL, compose, scaling_factor
 
 #: A convergence-scan cell converged iff an iterate came this close to the minimizer.
 RADIUS_TOL = 1e-6
@@ -125,7 +127,7 @@ def scan_sign_flip(loss, t, x_range, y_range=None, cross_check_fraction=0.01, se
     scan = _grid("sign", xs, ys, scaling_sign=sign, final_value=final_value, error=error)
 
     # One uniform draw per candidate cell, in cell order.
-    candidates = np.flatnonzero(valid & (np.abs(s) > 1e-6))
+    candidates = np.flatnonzero(valid & (np.abs(s) > SCALING_QUALIFIED_TOL))
     rng = np.random.default_rng(seed)
     L = compose(loss, t)
     for j in candidates[rng.uniform(size=len(candidates)) < cross_check_fraction]:
@@ -144,39 +146,42 @@ def scan_sign_flip(loss, t, x_range, y_range=None, cross_check_fraction=0.01, se
 
 
 class LockstepRuns(NamedTuple):
-    """Per-row outcome of unit-step Newton runs, as run_newton records them."""
+    """Per-row outcome of fixed-stepsize Newton runs, as run_newton records them."""
 
     termination: np.ndarray  # object array of termination strings
     iterations: np.ndarray
     final_value: np.ndarray  # last finite value of the driven loss
+    grad_norm: np.ndarray  # last recorded ||g||: NaN when the run ended without an evaluation
     near_minimizer: np.ndarray  # some recorded iterate within cfg.xtol of the minimizer
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def lockstep_unit_newton(loss, X, cfg):
-    """run_newton(loss, ConstantSchedule(1.0), x, cfg) for every row x of X.
+def lockstep_newton(loss, X, alphas, cfg):
+    """run_newton(loss, ConstantSchedule(alphas[i]), X[i], cfg) for every row i.
 
-    All live rows advance together: each step evaluates them as one batch and
-    retires rows by run_newton's rules, in its order: domain error, non-finite
-    value, converged, iteration cap, diverged. The loss needs a known
-    minimizer.
+    All live rows advance together, each with its own stepsize: each step
+    evaluates them as one batch and retires rows by run_newton's rules, in its
+    order: domain error, non-finite value, converged, iteration cap, diverged.
     """
-    if loss.minimizer is None:
-        raise InputError("lockstep_unit_newton needs a loss with known minimizer")
     n = len(X)
     runs = LockstepRuns(termination=np.full(n, MAX_ITERS, dtype=object), iterations=np.zeros(n, dtype=np.int32),
-                        final_value=np.full(n, np.nan), near_minimizer=np.zeros(n, dtype=bool))
+                        final_value=np.full(n, np.nan), grad_norm=np.full(n, np.nan),
+                        near_minimizer=np.zeros(n, dtype=bool))
     xstar = loss.minimizer
     live = np.arange(n)
     x = np.asarray(X, dtype=float)
+    a = np.asarray(alphas, dtype=float)
 
-    def retire(rows, termination, k, points):
+    def retire(rows, termination, k, points, gn=None):
         if not rows.any():
             return
         cells = live[rows]
         runs.termination[cells] = termination
         runs.iterations[cells] = k
-        runs.near_minimizer[cells] = ~norm_exceeds(points[rows] - xstar, cfg.xtol)
+        if gn is not None:
+            runs.grad_norm[cells] = gn[rows]
+        if xstar is not None:
+            runs.near_minimizer[cells] = ~norm_exceeds(points[rows] - xstar, cfg.xtol)
 
     for k in range(cfg.max_iters + 1):
         f, G, H, err = loss.evaluate_batch(x)
@@ -184,21 +189,24 @@ def lockstep_unit_newton(loss, X, cfg):
         retire(err, DOMAIN_ERROR, k, x)
         retire(~err & ~finite, DIVERGED, k, x)
         ok = ~err & finite
-        live, x, f, G, H = live[ok], x[ok], f[ok], G[ok], H[ok]
+        live, x, a, f, G, H = live[ok], x[ok], a[ok], f[ok], G[ok], H[ok]
         if not live.size:
             break
         runs.final_value[live] = f
         P = pinv_solve_batch(H, G)
-        converged = (row_norm(G) <= cfg.gtol) | ~norm_exceeds(x - xstar, cfg.xtol)
-        retire(converged, CONVERGED, k, x)
+        gn = row_norm(G)
+        converged = gn <= cfg.gtol
+        if xstar is not None:
+            converged |= ~norm_exceeds(x - xstar, cfg.xtol)
+        retire(converged, CONVERGED, k, x, gn)
         if k == cfg.max_iters:
-            retire(~converged, MAX_ITERS, k, x)
+            retire(~converged, MAX_ITERS, k, x, gn)
             break
         step = ~converged
-        live, x = live[step], x[step] - P[step]  # unit step: 1.0 * p is p bit for bit
+        live, a, x = live[step], a[step], x[step] - a[step, None] * P[step]  # run_newton's x - alpha * p
         diverged = ~np.all(np.isfinite(x), axis=1) | norm_exceeds(x, cfg.divergence_radius)
         retire(diverged, DIVERGED, k + 1, x)
-        live, x = live[~diverged], x[~diverged]
+        live, a, x = live[~diverged], a[~diverged], x[~diverged]
         if not live.size:
             break
     return runs
@@ -218,7 +226,8 @@ def scan_convergence(loss, t, x_range, y_range=None, cfg=None):
     run_cfg = replace(cfg or NewtonConfig(), gtol=1e-300, xtol=RADIUS_TOL)
     xs, ys = grid_axes(x_range, y_range)
     driven = loss if t is None else compose(loss, t)
-    runs = lockstep_unit_newton(driven, _nodes(xs, ys), run_cfg)
+    X = _nodes(xs, ys)
+    runs = lockstep_newton(driven, X, np.ones(len(X)), run_cfg)
     return _grid("convergence", xs, ys, converged=runs.near_minimizer, iterations=runs.iterations,
                  final_value=runs.final_value, error=runs.termination == DOMAIN_ERROR)
 
@@ -227,7 +236,7 @@ def scan_convergence(loss, t, x_range, y_range=None, cfg=None):
 class SweepResult:
     best_alpha: float
     best_iterations: int
-    rows: List[Tuple[float, int, float, bool]] = field(default_factory=list)  # alpha, iters, grad, converged
+    rows: List[Tuple[float, int, float, bool]]  # alpha, iters, grad, converged
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -237,25 +246,18 @@ class SweepResult:
 
 
 def best_fixed_stepsize(loss, x0, alphas, cfg=None):
-    """Run Newton per stepsize and pick the fastest-converging one.
+    """Run Newton per stepsize, all stepsizes in lockstep, and pick the
+    fastest-converging one.
 
     Ranking: converged before non-converged, then fewer iterations, then
     smaller final gradient norm, then smaller alpha.
     """
-    alphas = list(alphas)
-    if not alphas:
+    alphas = np.asarray(list(alphas), dtype=float)
+    if not alphas.size:
         raise InputError("alphas must be non-empty")
-    cfg = cfg or NewtonConfig()
-    result = SweepResult(best_alpha=np.nan, best_iterations=-1)
-    best_key = None
-    for alpha in alphas:
-        tr = run_newton(loss, ConstantSchedule(alpha), x0, cfg)
-        ok = tr.termination == "converged"
-        gn = tr.grad_norms[-1] if np.isfinite(tr.grad_norms[-1]) else np.inf
-        result.rows.append((float(alpha), tr.iterations, float(gn), ok))
-        key = (0 if ok else 1, tr.iterations if ok else np.inf, gn, float(alpha))
-        if best_key is None or key < best_key:
-            best_key = key
-            result.best_alpha = float(alpha)
-            result.best_iterations = tr.iterations
-    return result
+    x0 = as_point(x0, loss.dimension)
+    runs = lockstep_newton(loss, np.tile(x0, (len(alphas), 1)), alphas, cfg or NewtonConfig())
+    gn = np.where(np.isfinite(runs.grad_norm), runs.grad_norm, np.inf)
+    rows = list(zip(alphas.tolist(), runs.iterations.tolist(), gn.tolist(), (runs.termination == CONVERGED).tolist()))
+    best = min(rows, key=lambda r: (0 if r[3] else 1, r[1] if r[3] else np.inf, r[2], r[0]))
+    return SweepResult(best_alpha=best[0], best_iterations=best[1], rows=rows)

@@ -23,6 +23,9 @@ from .losses import RADIAL, SmoothLoss, spec_number, spec_options
 #: Sign-flip scans record such cells as sign 0.
 SCALING_ZERO_TOL = 1e-12
 
+#: |scaling| above this qualifies a run or cell for the iterate-equivalence checks.
+SCALING_QUALIFIED_TOL = 1e-6
+
 
 @dataclass
 class ScalarTransform:

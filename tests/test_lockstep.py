@@ -1,20 +1,22 @@
-"""The batched scan engine against the scalar path it replaces.
+"""The lockstep engine against the scalar path it replaces.
 
-Every cell of scan_convergence must end as a per-cell run_newton does, and
-every cell of scan_sign_flip as the scalar evaluate -> dual_norm_sq ->
-scaling_factor chain does, bit for bit.
+Every cell of scan_convergence and every row of best_fixed_stepsize must end
+as a per-cell or per-stepsize run_newton does, and every cell of
+scan_sign_flip as the scalar evaluate -> dual_norm_sq -> scaling_factor chain
+does, bit for bit.
 """
 
 import numpy as np
 import pytest
 
-from newton_transforms.errors import DomainError, EvaluationError
+from newton_transforms.errors import DomainError, EvaluationError, InputError
 from newton_transforms.linalg import dual_norm_sq, norm_exceeds, symmetrize
-from newton_transforms.losses import as_1d_loss, make_benchmark, make_polynorm, make_radial
-from newton_transforms.newton import DOMAIN_ERROR, ConstantSchedule, NewtonConfig, run_newton
+from newton_transforms.losses import as_1d_loss, make_benchmark, make_polynorm, make_polytope_instance, make_radial
+from newton_transforms.newton import CONVERGED, DOMAIN_ERROR, ConstantSchedule, NewtonConfig, run_newton
 from newton_transforms.scans import (
+    best_fixed_stepsize,
     grid_axes,
-    lockstep_unit_newton,
+    lockstep_newton,
     scan_convergence,
     scan_sign_flip,
 )
@@ -133,13 +135,103 @@ def test_lockstep_terminations_match_run_newton():
     seen = set()
     for driven, grid in cases:
         X = np.array([x for _, _, x in _cells(*grid)])
-        runs = lockstep_unit_newton(driven, X, cfg)
+        runs = lockstep_newton(driven, X, np.ones(len(X)), cfg)
         for i, x in enumerate(X):
             _, tr = _scalar_convergence(driven, x)
             assert (runs.termination[i], runs.iterations[i]) == (tr.termination, tr.iterations), i
             seen.add(tr.termination)
     assert seen == {"converged", "diverged", "max_iters", "domain_error"}
     _assert_convergence_matches(quadratic, make_table1("polynomial", r=1.0), (-1.0, 1.0, 4), (-0.7, 1.3, 4))
+
+
+def _sweep_reference(loss, x0, alphas, cfg):
+    """best_fixed_stepsize as a per-alpha run_newton loop: its rows (with the
+    gradient norm as bytes), (best alpha, best iterations) and terminations."""
+    rows, best, terminations = [], None, []
+    for alpha in alphas:
+        tr = run_newton(loss, ConstantSchedule(alpha), x0, cfg)
+        ok = tr.termination == CONVERGED
+        gn = tr.grad_norms[-1] if np.isfinite(tr.grad_norms[-1]) else np.inf
+        rows.append((float(alpha), tr.iterations, _bits(gn), ok))
+        key = (0 if ok else 1, tr.iterations if ok else np.inf, gn, float(alpha))
+        if best is None or key < best[0]:
+            best = (key, float(alpha), tr.iterations)
+        terminations.append(tr.termination)
+    return rows, best[1:], terminations
+
+
+SWEEP_STARTS = {"beale": (1.0, 1.2), "goldstein_price": (0.1, -0.9), "rosenbrock": (-1.2, 1.0)}
+POLYTOPE_ALPHAS = np.round(np.arange(0.2, 4.50001, 0.2), 10)
+
+
+def _sweep_cases(polytope_seeds, n_starts, n_polynorm, alphas):
+    """(loss, x0, alphas, cfg) sweeps: polytope instances (no minimizer) at a
+    cap of 25; perturbed benchmark starts, the same under f^0.5, a quadratic
+    under f^1 whose unit step lands on f = 0 (a domain error) and random
+    polynorm losses at d = 3, each at the default cap and at 10."""
+    cases = [(*make_polytope_instance(p, seed=seed), POLYTOPE_ALPHAS, NewtonConfig(max_iters=25))
+             for seed in polytope_seeds for p in (2, 3, 4, 5)]
+    rng = np.random.default_rng(0)
+    sqrt = make_table1("polynomial", r=0.5)
+    smooth = [(compose(make_polynorm(np.eye(2), 2), make_table1("polynomial", r=1.0)), np.array([0.7, -0.4]))]
+    for name, start in SWEEP_STARTS.items():
+        smooth += [(make_benchmark(name), start + rng.normal(0.0, 0.3, 2)) for _ in range(n_starts)]
+        smooth += [(compose(make_benchmark(name), sqrt), start + rng.normal(0.0, 0.3, 2))
+                   for _ in range(max(1, n_starts // 2))]
+    for j in range(n_polynorm):
+        M = rng.standard_normal((3, 3))
+        smooth.append((make_polynorm(M @ M.T + 3.0 * np.eye(3), 3 + j % 3), rng.standard_normal(3)))
+    caps = (NewtonConfig(), NewtonConfig(max_iters=10))
+    return cases + [(loss, x0, alphas, cfg) for loss, x0 in smooth for cfg in caps]
+
+
+def _assert_sweeps_match(cases):
+    """Every sweep matches the per-alpha reference; returns the terminations seen."""
+    seen = set()
+    for loss, x0, alphas, cfg in cases:
+        want_rows, want_best, terminations = _sweep_reference(loss, x0, alphas, cfg)
+        res = best_fixed_stepsize(loss, x0, alphas, cfg)
+        assert all(type(v) is kind for row in res.rows for v, kind in zip(row, (float, int, float, bool)))
+        got_rows = [(alpha, iters, _bits(gn), ok) for alpha, iters, gn, ok in res.rows]
+        assert (got_rows, (res.best_alpha, res.best_iterations)) == (want_rows, want_best), (loss.name, x0, cfg)
+        seen.update(terminations)
+    return seen
+
+
+def test_sweep_matches_per_alpha_run_newton():
+    cases = _sweep_cases(polytope_seeds=(1, 2), n_starts=2, n_polynorm=2,
+                         alphas=np.round(np.arange(0.25, 3.00001, 0.25), 10))
+    assert _assert_sweeps_match(cases) == {"converged", "diverged", "max_iters", "domain_error"}
+
+
+@pytest.mark.slow
+def test_sweep_matches_per_alpha_run_newton_full():
+    """120 polytope instances (seeds 1-30, p = 2..5) and 92 smooth sweeps."""
+    cases = _sweep_cases(polytope_seeds=range(1, 31), n_starts=8, n_polynorm=9,
+                         alphas=np.round(np.arange(0.1, 3.00001, 0.1), 10))
+    assert _assert_sweeps_match(cases) == {"converged", "diverged", "max_iters", "domain_error"}
+
+
+def test_lockstep_without_minimizer_converges_on_gtol():
+    loss, x0 = make_polytope_instance(3, seed=1)
+    assert loss.minimizer is None
+    alphas = np.array([0.4, 1.8, 4.4])
+    cfg = NewtonConfig(max_iters=25)
+    runs = lockstep_newton(loss, np.tile(x0, (len(alphas), 1)), alphas, cfg)
+    assert not runs.near_minimizer.any()
+    for i, alpha in enumerate(alphas):
+        tr = run_newton(loss, ConstantSchedule(alpha), x0, cfg)
+        assert (runs.termination[i], runs.iterations[i]) == (tr.termination, tr.iterations)
+        assert _bits(runs.grad_norm[i]) == _bits(tr.grad_norms[-1])
+    assert runs.termination[1] == CONVERGED and runs.grad_norm[1] <= cfg.gtol
+
+
+def test_sweep_rejects_wrong_dimension_start():
+    loss, x0 = make_polytope_instance(2, seed=1)
+    with pytest.raises(InputError):
+        best_fixed_stepsize(loss, x0[:3], [1.0, 2.0])
+    with pytest.raises(InputError):
+        best_fixed_stepsize(make_polynorm(np.eye(2), 2), [1.0, 1.0, 1.0], [1.0])
 
 
 @pytest.mark.parametrize("loss", [make_benchmark("beale"), make_benchmark("goldstein_price"),

@@ -1,5 +1,6 @@
 """Hypothesis properties: the CLI contract over generated argv, and the
-stepsize-rescaling theorem over generated Table-1 transforms and starts.
+stepsize-rescaling theorem over generated Table-1 transforms and starts and,
+without Hypothesis, over whole convergence maps.
 
 Examples are derandomized and few, so the suite stays deterministic and fast.
 """
@@ -8,6 +9,7 @@ import argparse
 import contextlib
 import io
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,10 +18,12 @@ from hypothesis import strategies as st
 
 from newton_transforms.cli import build_parser, main
 from newton_transforms.errors import InputError
-from newton_transforms.linalg import dual_norm_sq
+from newton_transforms.linalg import dual_norm_sq, norm_exceeds
 from newton_transforms.losses import known_loss_names, loss_from_spec, make_benchmark
-from newton_transforms.newton import ConstantSchedule, InducedSchedule, NewtonConfig, run_newton
+from newton_transforms.newton import SINGULAR_SCALING, ConstantSchedule, InducedSchedule, NewtonConfig, run_newton
+from newton_transforms.scans import RADIUS_TOL, grid_axes, scan_convergence
 from newton_transforms.transforms import (
+    SCALING_QUALIFIED_TOL,
     compose,
     forward_stepsize,
     induced_stepsize,
@@ -167,12 +171,48 @@ def test_induced_step_on_f_equals_constant_step_on_phi_f(lname, kind_params, x0,
     if not (np.all(np.isfinite(HL)) and np.any(gL != 0.0)):
         return  # phi'(f) overflows or underflows in floating point
     dual = dual_norm_sq(H, g)
-    if not (dual.in_range and abs(scaling_factor(t, f, dual.value)) > 1e-6):
+    if not (dual.in_range and abs(scaling_factor(t, f, dual.value)) > SCALING_QUALIFIED_TOL):
         return
     cfg = NewtonConfig(max_iters=1, gtol=1e-300, xtol=1e-300)  # grad phi(f) may be tiny but is not zero
     x_f = run_newton(loss, InducedSchedule(alpha, t), x0, cfg).xs[1]
     x_L = run_newton(L, ConstantSchedule(alpha), x0, cfg).xs[1]
     assert np.linalg.norm(x_f - x_L) <= 1e-10 * (1.0 + np.linalg.norm(x_L))
+
+
+#: (benchmark, Table-1 transform, x range, y range, excused cells, converged cells)
+#: on 8x8 grids. Rosenbrock under f^0.5 drives |scaling| to 1e-6 or below on most
+#: runs, and Goldstein-Price under log(1 + f) takes a step with grad f outside
+#: Range(hess f) on most runs.
+MAP_CASES = [
+    ("rosenbrock", ("exponential", dict(a=0.02)), (-2.03, 1.97, 8), (-1.09, 2.91, 8), 0, 52),
+    ("rosenbrock", ("polynomial", dict(r=0.5)), (-2.03, 1.97, 8), (-1.09, 2.91, 8), 54, 0),
+    ("beale", ("polynomial", dict(r=2.0)), (-3.87, 4.13, 8), (-4.21, 3.79, 8), 4, 5),
+    ("goldstein_price", ("polynomial", dict(r=0.5)), (-2.07, 1.93, 8), (-1.88, 2.12, 8), 0, 8),
+    ("goldstein_price", ("logarithmic", dict(a=1.0)), (-2.07, 1.93, 8), (-1.88, 2.12, 8), 42, 0),
+]
+
+
+@pytest.mark.parametrize("lname,kind_params,x_range,y_range,n_excused,n_converged", MAP_CASES)
+def test_induced_map_of_f_equals_unit_step_map_of_phi_f(lname, kind_params, x_range, y_range, n_excused, n_converged):
+    """The convergence map of the induced schedule 1 / scaling on f equals the
+    unit-step map of phi(f) cell for cell. A cell is excused only where the
+    theorem's hypothesis fails along the induced run: grad f leaves
+    Range(hess f) at a step, or |scaling| drops to SCALING_QUALIFIED_TOL."""
+    loss, t = make_benchmark(lname), make_table1(kind_params[0], **kind_params[1])
+    cfg = NewtonConfig(max_iters=40)
+    unit_map = scan_convergence(loss, t, x_range, y_range, cfg=cfg).converged
+    xs, ys = grid_axes(x_range, y_range)
+    excused = 0
+    for ix, x in enumerate(xs):
+        for iy, y in enumerate(ys):
+            tr = run_newton(loss, InducedSchedule(1.0, t), [x, y], replace(cfg, gtol=1e-300, xtol=RADIUS_TOL))
+            stepped = [inr for inr, alpha in zip(tr.in_range, tr.alphas) if np.isfinite(alpha)]
+            if not all(stepped) or tr.termination == SINGULAR_SCALING or tr.min_abs_scaling <= SCALING_QUALIFIED_TOL:
+                excused += 1
+                continue
+            near = any(not norm_exceeds(xk - loss.minimizer, RADIUS_TOL) for xk in tr.xs)  # NaN rows exceed
+            assert near == unit_map[ix, iy], (ix, iy)
+    assert (excused, int(unit_map.sum())) == (n_excused, n_converged)
 
 
 @settings(max_examples=200, **SETTINGS)
