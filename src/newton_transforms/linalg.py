@@ -15,6 +15,7 @@ per row, and row dot products go through ``np.matmul`` rather than
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,7 @@ def _as_square(M, name="matrix"):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InputError(f"{name} must be square, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise InputError(f"{name} has non-finite entries")
     return M
 
@@ -55,7 +56,8 @@ def _as_square(M, name="matrix"):
 def symmetrize(M):
     """Return (M + M^T)/2, rejecting asymmetry above 1e-8 relative."""
     M = _as_square(M)
-    asym = np.linalg.norm(M - M.T)
+    D = (M - M.T).ravel(order="K")  # np.linalg.norm's own reduction, without its wrapper
+    asym = math.sqrt(D.dot(D))
     if asym > 0.0 and asym > ASYMMETRY_RTOL * np.linalg.norm(M):  # exact symmetry needs no scale
         raise InputError("matrix asymmetry exceeds 1e-8 relative; refusing to symmetrize")
     return 0.5 * (M + M.T)
@@ -105,7 +107,7 @@ def symmetrize_batch(M):
 
 def pinv_solve_batch(H, G):
     """pinv_solve() for every row: H (N, d, d), G (N, d) -> P (N, d)."""
-    H, G = _check_pinv_args(H, G, DEFAULT_PINV_RTOL, stacked=True)
+    H, G = _check_pinv_args(H, G, stacked=True)
     if H.shape[0] == 0:
         return np.zeros_like(G)
     w, V = np.linalg.eigh(H)
@@ -123,24 +125,22 @@ def _pinv_apply(H, g, rel_tol):
     """Eigendecomposition-based H^+ g with relative spectral cutoff; returns
     (solution, rank)."""
     w, V = np.linalg.eigh(H)
-    wmax = np.max(np.abs(w)) if w.size else 0.0
+    wmax = abs(w).max() if w.size else 0.0
     if wmax == 0.0:
         return np.zeros_like(g), 0
-    keep = np.abs(w) >= rel_tol * wmax
+    keep = abs(w) >= rel_tol * wmax
     inv = np.zeros_like(w)
     inv[keep] = 1.0 / w[keep]
     return V @ (inv * (V.T @ g)), int(np.count_nonzero(keep))
 
 
-def _check_pinv_args(H, g, rel_tol, stacked=False):
+def _check_pinv_args(H, g, stacked=False):
     H = symmetrize_batch(H) if stacked else symmetrize(H)
     g = np.asarray(g, dtype=float)
     if g.shape != H.shape[:-1]:
         raise InputError(f"gradient shape {g.shape} does not match matrix shape {H.shape}")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise InputError("vector has non-finite entries")
-    if not (0.0 < rel_tol <= 1e-4):
-        raise InputError(f"rel_tol must lie in (0, 1e-4], got {rel_tol}")
     return H, g
 
 
@@ -149,25 +149,27 @@ def pinv_solve(H, g, rel_tol=DEFAULT_PINV_RTOL):
 
     Eigenvalues with |lambda| < rel_tol * max|lambda| are treated as zero.
     """
-    H, g = _check_pinv_args(H, g, rel_tol)
+    H, g = _check_pinv_args(H, g)
+    if not (0.0 < rel_tol <= 1e-4):
+        raise InputError(f"rel_tol must lie in (0, 1e-4], got {rel_tol}")
     return _pinv_apply(H, g, rel_tol)[0]
 
 
-def dual_norm_sq(H, g, rel_tol=DEFAULT_PINV_RTOL):
+def dual_norm_sq(H, g):
     """The Newton direction p = H^+ g with ||g||*^2 = <g, p>, and whether g
     lies in Range(H).
 
-    H is symmetrized and validated once. in_range is true iff
-    ||H p - g|| <= rel_tol * ||g|| (vacuously true for g = 0). The value can
-    be negative when H is indefinite.
+    H is symmetrized and validated once. With the cutoff DEFAULT_PINV_RTOL,
+    in_range is ||H p - g|| <= DEFAULT_PINV_RTOL * ||g|| (true for g = 0).
+    The value can be negative when H is indefinite.
     """
-    H, g = _check_pinv_args(H, g, rel_tol)
-    p, rank = _pinv_apply(H, g, rel_tol)
-    gnorm = float(np.linalg.norm(g))
+    H, g = _check_pinv_args(H, g)
+    p, rank = _pinv_apply(H, g, DEFAULT_PINV_RTOL)
+    gnorm = math.sqrt(g.dot(g))
     if gnorm == 0.0:
         return DualNormResult(0.0, True, rank, p, gnorm)
-    residual = np.linalg.norm(H @ p - g)
-    return DualNormResult(float(g @ p), bool(residual <= rel_tol * gnorm), rank, p, gnorm)
+    r = H @ p - g
+    return DualNormResult(float(g @ p), bool(math.sqrt(r.dot(r)) <= DEFAULT_PINV_RTOL * gnorm), rank, p, gnorm)
 
 
 def min_eigenvalue(M):

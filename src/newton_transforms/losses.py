@@ -146,8 +146,13 @@ def _beale(x):
         ddt = np.array([[0.0, i * b ** (i - 1)], [i * b ** (i - 1), tyy]])
         f += t * t
         g += 2.0 * t * dt
-        H += 2.0 * (np.outer(dt, dt) + t * ddt)
+        H += 2.0 * (dt[:, None] * dt + t * ddt)
     return f, g, H
+
+
+#: Goldstein-Price's directions u, w (s = u.x, v = w.x) and the outer products of its Hessian.
+_GP_U, _GP_W = np.array([1.0, 1.0]), np.array([2.0, -3.0])
+_GP_UU, _GP_UW, _GP_WW = np.outer(_GP_U, _GP_U), np.outer(_GP_U, _GP_W) + np.outer(_GP_W, _GP_U), np.outer(_GP_W, _GP_W)
 
 
 def _goldstein_price(x):
@@ -162,11 +167,9 @@ def _goldstein_price(x):
     B = 3 * v**4 - 16 * v**3 + 18 * v**2 + 30
     Bp = 12 * v**3 - 48 * v**2 + 36 * v
     Bpp = 36 * v**2 - 96 * v + 36
-    u = np.array([1.0, 1.0])
-    w = np.array([2.0, -3.0])
     f = A * B
-    g = Ap * B * u + A * Bp * w
-    H = App * B * np.outer(u, u) + Ap * Bp * (np.outer(u, w) + np.outer(w, u)) + A * Bpp * np.outer(w, w)
+    g = Ap * B * _GP_U + A * Bp * _GP_W
+    H = App * B * _GP_UU + Ap * Bp * _GP_UW + A * Bpp * _GP_WW
     return f, g, H
 
 
@@ -209,11 +212,8 @@ def _goldstein_price_batch(X):
     B = 3 * v4 - 16 * v3 + 18 * v2 + 30
     Bp = 12 * v3 - 48 * v2 + 36 * v
     Bpp = 36 * v2 - 96 * v + 36
-    u = np.array([1.0, 1.0])
-    w = np.array([2.0, -3.0])
-    G = (Ap * B)[:, None] * u + (A * Bp)[:, None] * w
-    H = ((App * B)[:, None, None] * np.outer(u, u) + (Ap * Bp)[:, None, None] * (np.outer(u, w) + np.outer(w, u))
-         + (A * Bpp)[:, None, None] * np.outer(w, w))
+    G = (Ap * B)[:, None] * _GP_U + (A * Bp)[:, None] * _GP_W
+    H = (App * B)[:, None, None] * _GP_UU + (Ap * Bp)[:, None, None] * _GP_UW + (A * Bpp)[:, None, None] * _GP_WW
     return A * B, G, H, np.zeros(len(X), dtype=bool)
 
 

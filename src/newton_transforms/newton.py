@@ -10,6 +10,7 @@ reproduces the phi(f)-run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List
 
@@ -117,7 +118,8 @@ class ForwardedSchedule:
     """Drive L = phi(f) with alpha_phi(x) = alpha * scaling(x).
 
     scaling is computed from the *base* loss quantities at x, so the L-run
-    reproduces the f-run iterate for iterate.
+    reproduces the f-run iterate for iterate. They are the ones compose
+    recorded on the driven loss when it evaluated base_loss at this very x.
     """
 
     def __init__(self, base_alpha, transform: ScalarTransform, base_loss: SmoothLoss):
@@ -126,7 +128,9 @@ class ForwardedSchedule:
         self.base_loss = base_loss
 
     def __call__(self, state):
-        f, g, H = self.base_loss.evaluate(state.x)
+        base, x, f, g, H = getattr(state.loss, "base_eval", (None,) * 5)
+        if base is not self.base_loss or x is not state.x:
+            f, g, H = self.base_loss.evaluate(state.x)
         dual = dual_norm_sq(H, g)
         s = scaling_factor(self.transform, f, dual.value)
         if abs(s) <= SCALING_ZERO_TOL:
@@ -203,7 +207,7 @@ def run_newton(loss, schedule, x0, cfg=None):
         except (DomainError, EvaluationError):
             push(x)
             return end(DOMAIN_ERROR)
-        if not (np.isfinite(f) and np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
+        if not (math.isfinite(f) and np.isfinite(g).all() and np.isfinite(H).all()):
             push(x)
             return end(DIVERGED)
 
@@ -227,7 +231,7 @@ def run_newton(loss, schedule, x0, cfg=None):
         tr.scalings[-1] = scal
 
         x = x - alpha * solve.direction
-        if not np.all(np.isfinite(x)) or norm_exceeds(x, cfg.divergence_radius):
+        if not np.isfinite(x).all() or norm_exceeds(x, cfg.divergence_radius):
             push(x)
             return end(DIVERGED)
 
@@ -262,9 +266,10 @@ def run_equivalence(loss, t, base_schedule, x0, cfg=None):
     dev = 0.0
     for k in range(n):
         xf, xl = trace_f.xs[k], trace_L.xs[k]
-        if not (np.all(np.isfinite(xf)) and np.all(np.isfinite(xl))):
+        if not (np.isfinite(xf).all() and np.isfinite(xl).all()):
             break
-        dev = max(dev, float(np.linalg.norm(xf - xl) / (1.0 + np.linalg.norm(xf))))
+        d = xf - xl
+        dev = max(dev, math.sqrt(d.dot(d)) / (1.0 + math.sqrt(xf.dot(xf))))
     return EquivalenceResult(trace_f, trace_L, dev, n)
 
 

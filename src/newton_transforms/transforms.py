@@ -164,10 +164,10 @@ def compose(base, t):
 
     def ev(x):
         f, g, H = base.evaluate(x)
+        composed.base_eval = (base, x, f, g, H)  # for ForwardedSchedule at this very x
         t.require(f)
-        p1 = t.phi_prime(f)
-        p2 = t.phi_double_prime(f)
-        return t.phi(f), p1 * g, p1 * H + p2 * np.outer(g, g)
+        p1, p2 = t.phi_prime(f), t.phi_double_prime(f)
+        return t.phi(f), p1 * g, p1 * H + p2 * (g[:, None] * g)
 
     def ev_batch(X):
         # phi and its derivatives are scalar functions: apply them per row. A
@@ -188,7 +188,7 @@ def compose(base, t):
     min_value = None
     if base.min_value is not None and t.contains(base.min_value):
         min_value = float(t.phi(base.min_value))
-    return TransformedLoss(
+    composed = TransformedLoss(
         name=f"{t.name}∘{base.name}",
         dimension=base.dimension,
         _eval=ev,
@@ -197,6 +197,7 @@ def compose(base, t):
         _eval_batch=ev_batch,
         transform=t,
     )
+    return composed
 
 
 def scaling_factor(t, f_val, dual_sq):

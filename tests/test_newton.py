@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from newton_transforms.cli import _schedule
 from newton_transforms.errors import InputError
 from newton_transforms.losses import (
+    SmoothLoss,
     as_1d_loss,
     make_benchmark,
     make_polynorm,
@@ -13,6 +17,7 @@ from newton_transforms.newton import (
     DIVERGED,
     BacktrackingSchedule,
     ConstantSchedule,
+    ForwardedSchedule,
     InducedSchedule,
     NewtonConfig,
     lm_invariance_residual,
@@ -179,8 +184,6 @@ class TestLM:
 
     def test_diagonal_hand_value(self):
         # H = diag(1,2), g = (1,1), lam = 1 -> (1/2, 1/3)
-        from newton_transforms.losses import SmoothLoss
-
         loss = SmoothLoss("fixture", 2, lambda x: (0.0, np.array([1.0, 1.0]), np.diag([1.0, 2.0])))
         np.testing.assert_allclose(lm_step(loss, [0.0, 0.0], 1.0), [0.5, 1.0 / 3.0], rtol=1e-14)
 
@@ -201,8 +204,6 @@ class TestLM:
 
     def test_eigenvector_geometry_rejected(self):
         # radial loss in 2D: gradient is always an eigenvector of the Hessian
-        from newton_transforms.losses import SmoothLoss
-
         def ev(x):
             r2 = float(x @ x)
             return 0.25 * r2**2, r2 * x, r2 * np.eye(2) + 2.0 * np.outer(x, x)
@@ -230,3 +231,69 @@ class TestSingularScaling:
         assert res.trace_L.termination == SINGULAR_SCALING
         assert res.n_common == 1
         assert not res.qualified
+
+
+class TestForwardedIterationCost:
+    """A forwarded run evaluates the base loss once per iterate, and the
+    per-iterate checks still fire at any iterate."""
+
+    @staticmethod
+    def counted(loss):
+        calls = []
+
+        def ev(x):
+            calls.append(1)
+            return loss._eval(x)
+
+        return replace(loss, _eval=ev), calls
+
+    def test_run_equivalence_evaluates_base_once_per_iterate(self):
+        loss, calls = self.counted(make_benchmark("rosenbrock"))
+        res = run_equivalence(loss, make_table1("exponential", a=0.02), ConstantSchedule(1.0), [-1.2, 1.0])
+        assert (res.trace_f.termination, res.trace_L.termination) == (CONVERGED, CONVERGED)
+        assert res.trace_L.iterations > 3
+        assert len(calls) == len(res.trace_f.xs) + len(res.trace_L.xs)
+
+    def test_cli_forwarded_schedule_evaluates_base_once_per_iterate(self):
+        loss, calls = self.counted(make_benchmark("beale"))
+        schedule, driven = _schedule("forwarded:0.5", loss, make_table1("polynomial", r=2.0))
+        tr = run_newton(driven, schedule, [1.0, 1.2], NewtonConfig(max_iters=12))
+        assert tr.iterations == 12
+        assert len(calls) == len(tr.xs)
+
+    @staticmethod
+    def run_turning(forwarded, max_iters=100, H_late=None, g_late=None):
+        """A half-step run on 0.5 ||x||^2 from (1, 1), or the forwarded run on
+        exp of it, where the Hessian or gradient is replaced from iterate 3 on
+        (the first with ||x|| < 0.25)."""
+
+        def ev(x):
+            late = np.linalg.norm(x) < 0.25
+            g = g_late if late and g_late is not None else np.array(x)
+            H = H_late if late and H_late is not None else np.eye(2)
+            return 0.5 * float(x @ x), g, H
+
+        loss, cfg = SmoothLoss("turning", 2, ev), NewtonConfig(max_iters=max_iters)
+        if not forwarded:
+            return run_newton(loss, ConstantSchedule(0.5), [1.0, 1.0], cfg)
+        t = exponential(0.1)
+        return run_newton(compose(loss, t), ForwardedSchedule(0.5, t, loss), [1.0, 1.0], cfg)
+
+    @pytest.mark.parametrize("forwarded", [False, True])
+    def test_hessian_turning_asymmetric_raises(self, forwarded):
+        H_late = np.array([[1.0, 0.5], [0.0, 1.0]])
+        assert self.run_turning(forwarded, max_iters=2, H_late=H_late).iterations == 2
+        with pytest.raises(InputError, match="asymmetry"):
+            self.run_turning(forwarded, H_late=H_late)
+
+    def test_gradient_turning_misshapen_raises(self):
+        assert self.run_turning(False, max_iters=2, g_late=np.ones(3)).iterations == 2
+        with pytest.raises(InputError, match="gradient shape"):
+            self.run_turning(False, g_late=np.ones(3))
+
+    @pytest.mark.parametrize("forwarded", [False, True])
+    def test_hessian_turning_non_finite_diverges(self, forwarded):
+        H_late = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        assert self.run_turning(forwarded, max_iters=2, H_late=H_late).iterations == 2
+        tr = self.run_turning(forwarded, H_late=H_late)
+        assert (tr.termination, tr.iterations) == (DIVERGED, 3)

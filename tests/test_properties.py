@@ -20,7 +20,8 @@ from newton_transforms.cli import build_parser, main
 from newton_transforms.errors import InputError
 from newton_transforms.linalg import dual_norm_sq, norm_exceeds
 from newton_transforms.losses import known_loss_names, loss_from_spec, make_benchmark
-from newton_transforms.newton import SINGULAR_SCALING, ConstantSchedule, InducedSchedule, NewtonConfig, run_newton
+from newton_transforms.newton import (SINGULAR_SCALING, ConstantSchedule, InducedSchedule, NewtonConfig, run_equivalence,
+                                      run_newton)
 from newton_transforms.scans import RADIUS_TOL, grid_axes, scan_convergence
 from newton_transforms.transforms import (
     SCALING_QUALIFIED_TOL,
@@ -221,3 +222,72 @@ def test_induced_map_of_f_equals_unit_step_map_of_phi_f(lname, kind_params, x_ra
 def test_forward_and_induced_stepsizes_round_trip(alpha, scaling):
     assert forward_stepsize(induced_stepsize(alpha, scaling), scaling) == pytest.approx(alpha, rel=1e-15, abs=1e-300)
     assert induced_stepsize(forward_stepsize(alpha, scaling), scaling) == pytest.approx(alpha, rel=1e-15, abs=1e-300)
+
+
+#: Recipe starts of the equivalence runs; generated starts perturb them.
+EQUIVALENCE_STARTS = {"rosenbrock": (-1.2, 1.0), "beale": (1.0, 1.2), "goldstein_price": (0.1, -0.9)}
+PERTURBATION = st.tuples(st.floats(-0.1, 0.1), st.floats(-0.1, 0.1))
+#: Deviations above 1e-8 the shadow rule excused among the generated runs. Some
+#: Goldstein-Price runs amplify a rounding-sized difference a billionfold within
+#: 12 iterations; none of these examples does, and their worst gap is 5e-12.
+N_SHADOW_EXCUSED = 0
+
+
+def _deviation(xs_a, xs_b):
+    """Worst normalized iterate gap over the common finite prefix."""
+    dev = 0.0
+    for xa, xb in zip(xs_a, xs_b):
+        if not (np.isfinite(xa).all() and np.isfinite(xb).all()):
+            break
+        dev = max(dev, float(np.linalg.norm(xa - xb) / (1.0 + np.linalg.norm(xa))))
+    return dev
+
+
+def test_forwarded_run_reproduces_base_run_iterate_for_iterate():
+    """A forwarded run on phi(f) deviates from the constant-step run on f by at
+    most 1e-8 whenever it qualifies and grad f stays in Range(hess f) along
+    the f-run. A larger deviation is excused only when it is at most 1e-6
+    and the f-run itself moves as far when its start moves by 1e-12 relative."""
+    cfg = NewtonConfig(max_iters=12)
+    excused = []
+
+    @settings(max_examples=150, **SETTINGS)
+    @given(lname=st.sampled_from(sorted(EQUIVALENCE_STARTS)), kind_params=TABLE1_PARAMS, dx=PERTURBATION,
+           alpha=st.sampled_from([0.25, 0.5, 1.0]))
+    def prop(lname, kind_params, dx, alpha):
+        loss, t = make_benchmark(lname), make_table1(kind_params[0], **kind_params[1])
+        x0 = np.add(EQUIVALENCE_STARTS[lname], dx)
+        res = run_equivalence(loss, t, ConstantSchedule(alpha), x0, cfg)
+        if not (res.qualified and all(res.trace_f.in_range)) or res.max_deviation <= 1e-8:
+            return
+        assert res.max_deviation <= 1e-6
+        shadow = run_newton(loss, ConstantSchedule(alpha), x0 * (1.0 + 1e-12), cfg)
+        assert res.max_deviation <= _deviation(res.trace_f.xs, shadow.xs)
+        excused.append((lname, kind_params, dx, alpha))
+
+    prop()
+    assert len(excused) == N_SHADOW_EXCUSED, excused
+
+
+@settings(max_examples=200, **SETTINGS)
+@given(lname=st.sampled_from(sorted(EQUIVALENCE_STARTS)), kind_params=TABLE1_PARAMS.filter(lambda kp: kp[0] != "linear"),
+       x=START)
+def test_reciprocity_of_the_scaling_factor(lname, kind_params, x):
+    """With hess phi(f) = phi' H + phi'' g g^T, Sherman-Morrison gives
+    q_L = phi' q / s, so s (1 - (phi''/phi'^2) q_L) = 1 wherever grad f is in
+    Range(hess f) and s is away from zero."""
+    loss, t = make_benchmark(lname), make_table1(kind_params[0], **kind_params[1])
+    f, g, H = loss.evaluate(x)
+    if not t.contains(f):
+        return
+    dual = dual_norm_sq(H, g)
+    s = scaling_factor(t, f, dual.value)
+    if not (dual.in_range and abs(s) > SCALING_QUALIFIED_TOL):
+        return
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        p1 = t.phi_prime(f)
+        _, gL, HL = compose(loss, t).evaluate(x)
+        q_L = dual_norm_sq(HL, gL).value if np.isfinite(HL).all() else np.nan
+    if not (np.isfinite(q_L) and 0.0 < p1 < np.inf):
+        return  # phi(f) overflows or underflows in floating point
+    assert abs(s * (1.0 - t.ratio(f) / p1 * q_L) - 1.0) <= 1e-8  # phi''/phi'^2 = ratio / phi'
