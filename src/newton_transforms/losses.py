@@ -47,7 +47,6 @@ class SmoothLoss:
     minimizer: Optional[np.ndarray] = None
     min_value: Optional[float] = None
     _value: Optional[Callable[[np.ndarray], float]] = None
-    _hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
     _eval_batch: Optional[Callable[[np.ndarray], tuple]] = None
 
     def evaluate(self, x):
@@ -89,8 +88,6 @@ class SmoothLoss:
         return self.evaluate(x)[1]
 
     def hessian(self, x):
-        if self._hess is not None:
-            return np.asarray(self._hess(as_point(x, self.dimension)), dtype=float)
         return self.evaluate(x)[2]
 
 
@@ -335,7 +332,8 @@ def _cauchy_profile():
     return dict(
         psi=lambda r: np.log1p(r * r),
         psi_prime=lambda r: 2.0 * r / (1.0 + r * r),
-        psi_double_prime=lambda r: 2.0 * (1.0 - r * r) / (1.0 + r * r) ** 2,
+        # dividing by 1 + r^2 twice: its square overflows where the quotient does not
+        psi_double_prime=lambda r: 2.0 * (1.0 - r * r) / (1.0 + r * r) / (1.0 + r * r),
         _psi_inverse=lambda c: np.sqrt(np.expm1(c)),
         psi_sup=np.inf,
     )

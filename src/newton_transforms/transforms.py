@@ -164,6 +164,8 @@ def compose(base, t):
 
     def ev(x):
         f, g, H = base.evaluate(x)
+        if g.shape != H.shape[:-1]:  # before the chain rule's broadcasting fails on it
+            raise InputError(f"gradient shape {g.shape} does not match matrix shape {H.shape}")
         composed.base_eval = (base, x, f, g, H)  # for ForwardedSchedule at this very x
         t.require(f)
         p1, p2 = t.phi_prime(f), t.phi_double_prime(f)

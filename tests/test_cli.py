@@ -173,3 +173,14 @@ def test_malformed_input_exit_2_without_traceback(argv, tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_import_and_star_table_leave_numpy_polynomial_unloaded():
+    # numpy.polynomial adds about 1.75 MB of resident memory to every process
+    code = ("import sys, newton_transforms, newton_transforms.cli\n"
+            "from newton_transforms.transforms import transform_from_spec\n"
+            "transform_from_spec('star:cauchy').phi(1.0)\n"
+            "assert 'numpy.polynomial' not in sys.modules")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -105,8 +105,7 @@ def test_sign_flip_domain_error_cells():
 def test_star_transform_overflow_cells():
     # psi^{-1}(f) of star:cauchy overflows for f above about 709, which Beale
     # exceeds on most of [-4, 4]^2: runs end at domain_error and both scans
-    # record error cells, as the scalar path does. Every star evaluation runs
-    # quadrature, so the grids and the iteration cap stay small.
+    # record error cells, as the scalar path does.
     beale, t = make_benchmark("beale"), transform_from_spec("star:cauchy")
     tr = run_newton(compose(beale, t), ConstantSchedule(1.0), [-4, 4])
     assert (tr.termination, tr.iterations) == (DOMAIN_ERROR, 0)

@@ -286,10 +286,11 @@ class TestForwardedIterationCost:
         with pytest.raises(InputError, match="asymmetry"):
             self.run_turning(forwarded, H_late=H_late)
 
-    def test_gradient_turning_misshapen_raises(self):
-        assert self.run_turning(False, max_iters=2, g_late=np.ones(3)).iterations == 2
+    @pytest.mark.parametrize("forwarded", [False, True])
+    def test_gradient_turning_misshapen_raises(self, forwarded):
+        assert self.run_turning(forwarded, max_iters=2, g_late=np.ones(3)).iterations == 2
         with pytest.raises(InputError, match="gradient shape"):
-            self.run_turning(False, g_late=np.ones(3))
+            self.run_turning(forwarded, g_late=np.ones(3))
 
     @pytest.mark.parametrize("forwarded", [False, True])
     def test_hessian_turning_non_finite_diverges(self, forwarded):

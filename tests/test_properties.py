@@ -90,11 +90,7 @@ def _point(draw, loss_spec):
 
 @st.composite
 def argv(draw):
-    """argv for one subcommand, with drawn values that are mostly valid.
-
-    `radius --transformed` is left out: one bisection over the quadrature
-    loss takes 1-10 s.
-    """
+    """argv for one subcommand, with drawn values that are mostly valid."""
     command = draw(st.sampled_from(COMMANDS))
     if command == "recipe":
         return [command, draw(st.sampled_from(["fig1", "lemma3_demo", "table1_check", "nosuch"]))]  # fast ones
@@ -108,7 +104,7 @@ def argv(draw):
     elif command == "convexify":
         args += [f"--x0={_point(draw, loss)}", f"--grid={draw(STEP_RANGE)}"]
     elif command == "radius":
-        args += _opt(draw, "--bracket", NUMBERS)
+        args += _opt(draw, "--bracket", NUMBERS) + (["--transformed"] if draw(st.booleans()) else [])
     elif command == "starcheck":
         args += [f"--points={draw(mostly(['0', '2'], ['-1', 'x']))}"] + _opt(draw, "--seed", INTEGERS)
     elif command in ("scan-flip", "scan-conv"):

@@ -74,7 +74,7 @@ DIGESTS = {
     "conv-beale-none": "9a1ef0dbc08ff08d09f691390bd2a6bbeee3127acc64fd49807b48460b3d586f",
     "conv-beale-poly0.5": "cab109a40d63294b0978115221b1c8c142d0931e40eeb1642c36e95fcb05090e",
     "conv-beale-poly2": "cce477a8758362b837c3283c7ede7b2f3b8905e8aafcb5047695b5f6d7ed2118",
-    "conv-cauchy1d": "8da4a447aa9b0efcb4deb98685fb830e7242b4c4b5a96fa4d58fdd81d8cc8493",
+    "conv-cauchy1d": "861d4ba57ffa60da12747ba5b914aa36653e54fc307443ee760d3a992468e59a",
     "conv-gp-log1": "de20a513cd178df634d135018cf9ce7e16cc5581161c86131e193c204192f6cc",
     "conv-gp-poly0.5": "161076ca706005486bf9c3772739a389b49bd05a129d9ed3590c6b0bab828ba4",
     "conv-gp-poly2": "8c423f8474311d3210e0abd4017f5365f25d52d176bdc504fae9ad258ec36611",
@@ -93,7 +93,7 @@ DIGESTS = {
     "run-forwarded-poly": "afab7420d29cadd9b5d301c2c6308039e97752a4c2e1f48537430506e2ffcfd2",
     "run-forwarded-sigmoid": "b41b4f03ea763694db1a9bc7c9db44fb2f2d8f648ae0c179b438cc555dfc79cd",
     "run-induced-log": "87fedc5c02def30c745125cb5c39bb9ddb40492298763b99331e714b42c25861",
-    "run-induced-star": "d5acbe46714a0cb5481d2d0408cd3b9f90d6cda2a8cbaf4b92bf491db9a1e78d",
+    "run-induced-star": "c68757399c0e56c08a7451140505c48dfc180571a70f849458abf9c659c89740",
 }
 
 #: Recipe keyword arguments; fig2, fig3 and fig5 run at reduced grids.
@@ -105,10 +105,10 @@ RECIPE_DIGESTS = {
         "convexify_cauchy.txt": "50234a312029d4b41e2ce7ad76a5190343f0ca69deee2b12752636198b092813",
     },
     "fig1": {
-        "fig1_summary.txt": "6f11588711c6f9bd06468a39c32b781329a54eee86408e19e27a023c393663f3",
-        "trace_L.csv": "1a53f344e4b4a5b8e89ab166eddcaea3eef65f0d8a1c11ec5cd6826e83f2ca25",
-        "trace_f_diverges.csv": "d6b17f65a1559c7f6ea53178e7f0d1a22ba19a07d2251f25026e5cc183e1ea43",
-        "trace_induced.csv": "d5acbe46714a0cb5481d2d0408cd3b9f90d6cda2a8cbaf4b92bf491db9a1e78d",
+        "fig1_summary.txt": "59b60345b9c68e2e5738d35ba4df77551c48f221272a5d58f21acda9f82d8ddf",
+        "trace_L.csv": "e4bc705bc4c0c5260ed132120fe122bdbd7518dcc82b72545c75845c11d854c6",
+        "trace_f_diverges.csv": "e0e17a4bb092748622dc493cd33a82852fb241e8b948e8a5a2ace3e45ad4d11f",
+        "trace_induced.csv": "c68757399c0e56c08a7451140505c48dfc180571a70f849458abf9c659c89740",
     },
     "fig2": {
         "flip_poly_r0.25_beale.csv": "213ec3c46e7aaaf332822ac4e96dda602bd40b0065121e5cbcf01f98470027b6",
@@ -161,7 +161,7 @@ FULL_SIZE_RECIPE_DIGESTS = {
         "flip_log_a1_goldstein_price.csv": "20e5dca4dba2c9495cdcf4441fffdcc9354c9d0454db46226777eb7168933156",
     },
     "table3": {
-        "table3_radii.csv": "84f6367936f105ca8fbbfd78736dc018f3d11c42886d8e4e633c8d9248178d49",
+        "table3_radii.csv": "ddf0efa25ac179bd8de15b2a2df87510f69485c83097da1109e606deefedcc8a",
     },
 }
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from newton_transforms.losses import (
 from newton_transforms.newton import NewtonConfig
 from newton_transforms.quadrature import adaptive_simpson
 from newton_transforms.starconvex import (
+    _radial_integrals,
     convergence_radius,
     convexity_neighborhood,
     convexity_radius,
@@ -21,17 +23,22 @@ from newton_transforms.starconvex import (
     radial_star_loss,
     star_value,
 )
+from newton_transforms.transforms import scaling_factor, transform_from_spec
 
 RADIALS = ["geman_mcclure", "welsh", "cauchy"]
 
 
-def closed_form_L(name, x):
-    x = abs(x)
+def closed_form_I(name, r):
+    """I(r) = integral_0^r psi'(t)/t dt."""
     if name == "geman_mcclure":
-        return x * x / (x * x + 1.0) + x * np.arctan(x)
+        return r / (r * r + 1.0) + np.arctan(r)
     if name == "welsh":
-        return np.sqrt(np.pi) * x * math.erf(x)
-    return 2.0 * x * np.arctan(x)
+        return np.sqrt(np.pi) * math.erf(r)
+    return 2.0 * np.arctan(r)
+
+
+def closed_form_L(name, x):
+    return abs(x) * closed_form_I(name, abs(x))
 
 
 def closed_form_phi(name, c):
@@ -156,6 +163,29 @@ class TestRadialStarLoss:
             _, t = radial_star_loss(make_radial(name))
             assert t.phi_prime(0.0) == pytest.approx(2.0)
             assert t.phi(0.0) == 0.0
+
+
+class TestRadialIntegralTable:
+    @pytest.mark.parametrize("name", RADIALS)
+    def test_profile_integral_matches_closed_form(self, name):
+        integrals = _radial_integrals(make_radial(name))
+        for r in np.geomspace(1e-6, 1e20, 300):
+            assert integrals(r)[0] == pytest.approx(closed_form_I(name, r), abs=1e-14)
+
+    def test_star_cauchy_far_out(self):
+        # f up to 700 puts r = psi^{-1}(f) near 1e152, close to where psi^{-1} overflows
+        t, h = make_star_transform("cauchy"), 1e-3
+        for c in np.linspace(1.0, 700.0, 120):
+            r = np.sqrt(np.expm1(c))
+            assert t.phi(c) == pytest.approx(2.0 * r * np.arctan(r), rel=1e-12)
+            assert t.phi_prime(c) == pytest.approx(1.0 + np.arctan(r) * (1.0 + r * r) / r, rel=1e-12)
+            central = (t.phi_prime(c + h) - t.phi_prime(c - h)) / (2.0 * h)
+            assert t.phi_double_prime(c) == pytest.approx(central, rel=1e-6)
+
+    def test_star_cauchy_scaling_factor_warns_nowhere(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert np.isfinite(scaling_factor(transform_from_spec("star:cauchy"), 377.0, 1.0))
 
 
 class TestConvexityNeighborhood:
