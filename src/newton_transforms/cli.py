@@ -16,9 +16,9 @@ import sys
 
 import numpy as np
 
-from .convexify import compact_constant, schaible_r, verify_convexified, exp_convexifier
-from .errors import CapabilityError, DomainError, EvaluationError, InputError, SingularScalingError
-from .linalg import min_eigenvalue
+from .convexify import compact_constant, exp_convexifier, strict_schaible_batch, verify_convexified
+from .errors import CapabilityError, DomainError, InputError, SingularScalingError
+from .linalg import symmetrize_batch
 from .losses import as_1d_loss, known_loss_names, loss_from_spec, radial_1d
 from .newton import (
     BacktrackingSchedule,
@@ -156,16 +156,12 @@ def cmd_convexify(args):
     x0 = _parse_point(args.x0)
     c = compact_constant(loss, x0, grid)
     t = exp_convexifier(c, loss.min_value if loss.min_value is not None else 0.0)
+    f, G, H, skip = loss.evaluate_batch(grid)
+    x, f, G, H = grid[~skip, 0], f[~skip], G[~skip], H[~skip]
+    Hs, Hc = symmetrize_batch(H), symmetrize_batch(H + c * (G[:, :, None] * G[:, None, :]))
+    cols = (x, f, strict_schaible_batch(G, Hs), np.linalg.eigvalsh(Hs)[:, 0], np.linalg.eigvalsh(Hc)[:, 0])
     rows = ["x,f,r,min_eig_before,min_eig_after,c"]
-    for x in grid:
-        try:
-            f, g, H = loss.evaluate(x)
-            r = schaible_r(loss, x, mode="strict")
-            before = min_eigenvalue(H)
-            after = min_eigenvalue(H + c * np.outer(g, g))
-        except (DomainError, EvaluationError):
-            continue
-        rows.append(",".join(format(v, ".17g") for v in (x[0], f, r, before, after, c)))
+    rows += [",".join(format(v, ".17g") for v in (*row, c)) for row in zip(*cols)]
     path = _out_path(args, "convexify_report.csv")
     write_lines(path, rows)
     rep = verify_convexified(loss, t, grid)

@@ -18,8 +18,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, EvaluationError, InputError
-from .linalg import min_eigenvalue, principal_minors, spectral_norm, symmetrize
+from .errors import DomainError, EvaluationError, InputError
+from .linalg import principal_minors, row_dot, symmetrize, symmetrize_batch
 from .losses import as_point
 from .quadrature import CumulativeIntegral
 from .transforms import ScalarTransform, linear
@@ -65,25 +65,21 @@ def check_pseudoconvex(loss, sample_box, n_samples=200, seed=0):
     pts = rng.uniform(lo, hi, size=(n_samples, loss.dimension))
     report = PseudoconvexReport(n_points=n_samples)
 
-    evals = []
-    for x in pts:
-        try:
-            f, g, H = loss.evaluate(x)
-        except (DomainError, EvaluationError):
-            continue
-        evals.append((x, f, g, H))
-    if not evals:
+    f, G, H, err = loss.evaluate_batch(pts)
+    keep = np.flatnonzero(~err)
+    if not keep.size:
         return report
-    f_min = min(e[1] for e in evals)
+    f_min = min(f[keep].tolist())
+    w = np.linalg.eigvalsh(symmetrize_batch(H[keep]))
+    hnorms = np.maximum(np.maximum(-w[:, 0], w[:, -1]), 1e-30)  # spectral norms, floored
 
-    for x, f, g, H in evals:
+    for x, fx, g, Hx, hnorm in zip(pts[keep], f[keep].tolist(), G[keep], H[keep], hnorms):
         gnorm = np.linalg.norm(g)
-        hnorm = max(spectral_norm(H), 1e-30)
         stationary = gnorm < 1e-8
         if stationary:
             # condition 2: stationary points are global minima
-            if f > f_min + 1e-6:
-                report.violations.append((x, f"stationary with f = {f} > sampled min {f_min}"))
+            if fx > f_min + 1e-6:
+                report.violations.append((x, f"stationary with f = {fx} > sampled min {f_min}"))
             directions = rng.standard_normal((8, loss.dimension))
         else:
             raw = rng.standard_normal((8, loss.dimension))
@@ -95,7 +91,7 @@ def check_pseudoconvex(loss, sample_box, n_samples=200, seed=0):
             v = v / vn
             if not stationary and abs(v @ g) > 1e-12 * gnorm:
                 continue
-            curv = float(v @ H @ v)
+            curv = float(v @ Hx @ v)
             if curv < -1e-8 * hnorm:
                 report.violations.append((x, f"tangent curvature {curv} at gradient norm {gnorm}"))
     return report
@@ -104,6 +100,16 @@ def check_pseudoconvex(loss, sample_box, n_samples=200, seed=0):
 # ----------------------------------------------------------------------------
 # Schaible coefficient and the compact-set constant
 # ----------------------------------------------------------------------------
+
+def strict_schaible_batch(G, H):
+    """The strict schaible_r of every row: max{0, -1/(g^T H g)} where
+    det(H) < 0, else 0, for gradients G (N, d) and symmetrized Hessians
+    H (N, d, d). Row for row the scalar det and g @ H @ g."""
+    quad = row_dot(np.matmul(G[:, None, :], H)[:, 0, :], G)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r = -1.0 / quad
+    return np.where((np.linalg.det(H) < 0.0) & (quad != 0.0) & (r > 0.0), r, 0.0)
+
 
 def schaible_r(loss, x, mode="strict"):
     """Pointwise convexification coefficient r(x).
@@ -115,23 +121,15 @@ def schaible_r(loss, x, mode="strict"):
     pseudoconvex losses.
     """
     x = as_point(x, loss.dimension)
-    if loss.dimension > 8:
-        raise CapabilityError("schaible_r capped at d = 8 (exhaustive minors)")
     f, g, H = loss.evaluate(x)
     H = symmetrize(H)
     if mode == "strict":
-        M_n = float(np.linalg.det(H))
-        if M_n < 0.0:
-            quad = float(g @ H @ g)
-            if quad != 0.0:
-                return max(0.0, -1.0 / quad)
-        return 0.0
+        return float(strict_schaible_batch(g[None], H[None])[0])
     if mode != "general":
         raise InputError(f"unknown mode '{mode}'")
     B = bordered_hessian(g, H)
-    hess_minors = dict(principal_minors(H))
     best = 0.0
-    for idx, M_S in hess_minors.items():
+    for idx, M_S in principal_minors(H):
         rows = (0,) + tuple(i + 1 for i in idx)
         D_S = float(np.linalg.det(B[np.ix_(rows, rows)]))
         if D_S < 0.0:
@@ -141,20 +139,14 @@ def schaible_r(loss, x, mode="strict"):
 
 @np.errstate(over="ignore", invalid="ignore")
 def compact_constant(loss, x0, grid):
-    """c = max of the strict schaible_r over grid points inside the sublevel set f <= f(x0)."""
-    x0 = as_point(x0, loss.dimension)
+    """c = max of the strict schaible_r over the points of grid (N, d) inside
+    the sublevel set f <= f(x0)."""
     f0 = loss.value(x0)
-    cands = []
-    for x in grid:
-        x = as_point(x, loss.dimension)
-        try:
-            if loss.value(x) <= f0:
-                cands.append(schaible_r(loss, x))
-        except (DomainError, EvaluationError):
-            continue
-    if not cands:
+    f, G, H, err = loss.evaluate_batch(grid)
+    inside = ~err & (f <= f0)
+    if not inside.any():
         raise InputError("grid does not intersect the sublevel set of f(x0)")
-    return max(0.0, max(cands))
+    return max(0.0, float(strict_schaible_batch(G[inside], symmetrize_batch(H[inside])).max()))
 
 
 # ----------------------------------------------------------------------------
@@ -238,27 +230,24 @@ class ConvexifiedReport:
 def verify_convexified(loss, t, grid):
     """Minimum eigenvalue over the grid of the phi'-normalized transformed
     Hessian H + (phi''/phi') g g^T; also tracks its largest spectral norm for
-    the pass threshold. Non-evaluable points are skipped and counted."""
-    best = np.inf
-    worst_norm = 0.0
-    argmin = None
-    n_eval = 0
-    n_skip = 0
-    for x in grid:
-        x = as_point(x, loss.dimension)
+    the pass threshold. Non-evaluable points of grid (N, d) are skipped and
+    counted."""
+    X = np.asarray(grid, dtype=float)
+    f, G, H, skip = loss.evaluate_batch(X)
+    r = np.zeros(len(X))
+    for i in np.flatnonzero(~skip):
         try:
-            f, g, H = loss.evaluate(x)
-            r = t.ratio(f)
+            r[i] = t.ratio(float(f[i]))
         except (DomainError, EvaluationError):
-            n_skip += 1
-            continue
-        A = symmetrize(H) + r * np.outer(g, g)
-        lam = min_eigenvalue(A)
-        worst_norm = max(worst_norm, spectral_norm(A))
-        n_eval += 1
-        if lam < best:
-            best = lam
-            argmin = x
-    if n_eval == 0:
+            skip[i] = True
+    keep = ~skip
+    if not keep.any():
         raise InputError("no grid point was evaluable")
-    return ConvexifiedReport(best, worst_norm, argmin, n_eval, n_skip)
+    G = G[keep]
+    A = symmetrize_batch(H[keep]) + r[keep, None, None] * (G[:, :, None] * G[:, None, :])
+    if not np.isfinite(A).all():
+        raise InputError("matrix has non-finite entries")
+    w = np.linalg.eigvalsh(A)
+    i = int(np.argmin(w[:, 0]))
+    worst_norm = max(0.0, float(np.maximum(-w[:, 0], w[:, -1]).max()))
+    return ConvexifiedReport(float(w[i, 0]), worst_norm, X[keep][i], int(keep.sum()), int(skip.sum()))

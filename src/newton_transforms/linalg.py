@@ -177,12 +177,6 @@ def min_eigenvalue(M):
     return float(np.linalg.eigvalsh(symmetrize(M))[0])
 
 
-def spectral_norm(M):
-    """Largest |eigenvalue| of a symmetric matrix."""
-    w = np.linalg.eigvalsh(symmetrize(M))
-    return float(np.max(np.abs(w))) if w.size else 0.0
-
-
 def principal_minors(M):
     """All nonempty principal minors of M as (index tuple, determinant) pairs.
 

@@ -328,12 +328,31 @@ def _welsh_profile():
     )
 
 
+#: Where 1 + r*r rounds to r*r (it overflows from 2^512): the Cauchy profile's asymptotic forms start.
+CAUCHY_FAR_RADIUS = 2.0 ** 500
+
+
+def _cauchy_far(near, far):
+    """near(r) below CAUCHY_FAR_RADIUS, far(r) from there on, for scalar or array r."""
+
+    def fn(r):
+        if not isinstance(r, np.ndarray):
+            return far(r) if r >= CAUCHY_FAR_RADIUS else near(r)
+        if r.max(initial=0.0) < CAUCHY_FAR_RADIUS:
+            return near(r)
+        return np.where(r < CAUCHY_FAR_RADIUS, near(np.minimum(r, CAUCHY_FAR_RADIUS)),
+                        far(np.maximum(r, CAUCHY_FAR_RADIUS)))  # neither form sees the other's radii
+
+    return fn
+
+
 def _cauchy_profile():
     return dict(
-        psi=lambda r: np.log1p(r * r),
-        psi_prime=lambda r: 2.0 * r / (1.0 + r * r),
+        psi=_cauchy_far(lambda r: np.log1p(r * r), lambda r: 2.0 * np.log(r)),
+        psi_prime=_cauchy_far(lambda r: 2.0 * r / (1.0 + r * r), lambda r: 2.0 / r),
         # dividing by 1 + r^2 twice: its square overflows where the quotient does not
-        psi_double_prime=lambda r: 2.0 * (1.0 - r * r) / (1.0 + r * r) / (1.0 + r * r),
+        psi_double_prime=_cauchy_far(lambda r: 2.0 * (1.0 - r * r) / (1.0 + r * r) / (1.0 + r * r),
+                                     lambda r: -2.0 / r / r),
         _psi_inverse=lambda c: np.sqrt(np.expm1(c)),
         psi_sup=np.inf,
     )

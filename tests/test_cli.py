@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -102,11 +103,22 @@ class TestAnalysis:
         header = out.read_text().splitlines()[0]
         assert header == "x,f,r,min_eig_before,min_eig_after,c"
 
-    @pytest.mark.parametrize("grid", ["--grid=1e200:3e200:1e200", "--grid=-1e200:3e200:1e200"])
+    @pytest.mark.parametrize("grid", ["--grid=1e200:3e200:1e200"])
     def test_convexify_overflowing_grid_exit_2(self, tmp_path, grid):
         # Runs under the suite's error::RuntimeWarning: an overflow warning
         # from the loss would end the command with an exception, not exit 2.
+        # No point of the grid lies in the sublevel set of f(2).
         assert run_cli(tmp_path, "convexify", "--loss", "cauchy1d", "--x0", "2", grid) == 2
+
+    def test_convexify_grid_past_the_square_overflow(self, tmp_path):
+        # x * x overflows at |x| = 1e200; the Cauchy profile's asymptotic
+        # forms keep every row finite, with no warning
+        out = tmp_path / "report.csv"
+        assert run_cli(tmp_path, "convexify", "--loss", "cauchy1d", "--x0", "2",
+                       "--grid=-1e200:3e200:1e200", "--out", str(out)) == 0
+        rows = [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 5 and all(math.isfinite(v) for row in rows for v in row)
+        assert rows[2][1] == pytest.approx(2.0 * math.log(1e200), rel=1e-15)
 
 
 class TestRecipes:

@@ -9,12 +9,15 @@ from newton_transforms.convexify import (
     exp_convexifier,
     nested_bound_convexifier,
     schaible_r,
+    strict_schaible_batch,
     verify_convexified,
 )
-from newton_transforms.errors import DomainError, InputError
+from newton_transforms.errors import DomainError, EvaluationError, InputError
+from newton_transforms.linalg import symmetrize
 from newton_transforms.losses import (
     SmoothLoss,
     as_1d_loss,
+    as_point,
     make_benchmark,
     make_counterexample,
     make_radial,
@@ -226,12 +229,12 @@ class TestVerifyConvexified:
     def test_compact_constant_pointwise_psd(self):
         grid = np.arange(-2.0, 2.0 + 1e-9, 1e-3).reshape(-1, 1)
         c = compact_constant(CAUCHY_1D, [2.0], grid)
-        from newton_transforms.linalg import min_eigenvalue, spectral_norm
+        from newton_transforms.linalg import min_eigenvalue
 
         for x in np.linspace(-2, 2, 101):
             f, g, H = CAUCHY_1D.evaluate([x])
             A = H + c * np.outer(g, g)
-            assert min_eigenvalue(A) >= -1e-8 * (1.0 + spectral_norm(H))
+            assert min_eigenvalue(A) >= -1e-8 * (1.0 + np.abs(np.linalg.eigvalsh(H)).max())
 
     def test_counterexample_defeats_every_table1_transform(self):
         loss = make_counterexample()
@@ -250,3 +253,193 @@ class TestVerifyConvexified:
         from newton_transforms.linalg import min_eigenvalue
 
         assert rep.min_eig == pytest.approx(min_eigenvalue(A), rel=1e-12)
+
+
+# ----------------------------------------------------------------------------
+# The batched grid pass against the per-point loops it replaced
+# ----------------------------------------------------------------------------
+
+def _loop_strict_r(loss, x):
+    f, g, H = loss.evaluate(x)
+    H = symmetrize(H)
+    if float(np.linalg.det(H)) < 0.0:
+        quad = float(g @ H @ g)
+        if quad != 0.0:
+            return max(0.0, -1.0 / quad)
+    return 0.0
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _loop_compact_constant(loss, x0, grid):
+    f0 = loss.value(x0)
+    cands = []
+    for x in grid:
+        x = as_point(x, loss.dimension)
+        try:
+            if loss.value(x) <= f0:
+                cands.append(_loop_strict_r(loss, x))
+        except (DomainError, EvaluationError):
+            continue
+    return max(0.0, max(cands))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _loop_verify_convexified(loss, t, grid):
+    best, worst_norm, argmin, n_eval, n_skip = np.inf, 0.0, None, 0, 0
+    for x in grid:
+        x = as_point(x, loss.dimension)
+        try:
+            f, g, H = loss.evaluate(x)
+            r = t.ratio(f)
+        except (DomainError, EvaluationError):
+            n_skip += 1
+            continue
+        A = symmetrize(symmetrize(H) + r * np.outer(g, g))
+        lam = float(np.linalg.eigvalsh(A)[0])
+        worst_norm = max(worst_norm, float(np.max(np.abs(np.linalg.eigvalsh(A)))))
+        n_eval += 1
+        if lam < best:
+            best, argmin = lam, x
+    return best, worst_norm, argmin, n_eval, n_skip
+
+
+def _loop_check_pseudoconvex(loss, sample_box, n_samples=200, seed=0):
+    lo, hi = (np.asarray(b, dtype=float) for b in sample_box)
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(lo, hi, size=(n_samples, loss.dimension))
+    evals = []
+    for x in pts:
+        try:
+            evals.append((x, *loss.evaluate(x)))
+        except (DomainError, EvaluationError):
+            continue
+    f_min = min(e[1] for e in evals)
+    violations = []
+    for x, f, g, H in evals:
+        gnorm = np.linalg.norm(g)
+        hnorm = max(float(np.max(np.abs(np.linalg.eigvalsh(symmetrize(H))))), 1e-30)
+        stationary = gnorm < 1e-8
+        if stationary:
+            if f > f_min + 1e-6:
+                violations.append((x, f"stationary with f = {f} > sampled min {f_min}"))
+            directions = rng.standard_normal((8, loss.dimension))
+        else:
+            raw = rng.standard_normal((8, loss.dimension))
+            directions = raw - np.outer(raw @ g, g) / gnorm**2
+        for v in directions:
+            vn = np.linalg.norm(v)
+            if vn <= 1e-12:
+                continue
+            v = v / vn
+            if not stationary and abs(v @ g) > 1e-12 * gnorm:
+                continue
+            curv = float(v @ H @ v)
+            if curv < -1e-8 * hnorm:
+                violations.append((x, f"tangent curvature {curv} at gradient norm {gnorm}"))
+    return violations
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+def _assert_same_certificates(loss, x0, grid, transforms):
+    """compact_constant and verify_convexified equal the per-point loops bit
+    for bit; returns the reports."""
+    c = compact_constant(loss, x0, grid)
+    assert _bits(c) == _bits(_loop_compact_constant(loss, x0, grid))
+    reports = []
+    for t in transforms(c):
+        rep = verify_convexified(loss, t, grid)
+        best, worst_norm, argmin, n_eval, n_skip = _loop_verify_convexified(loss, t, grid)
+        assert _bits(rep.min_eig) == _bits(best), t.name
+        assert _bits(rep.max_norm) == _bits(worst_norm), t.name
+        assert rep.argmin.tobytes() == argmin.tobytes(), t.name
+        assert (rep.n_evaluated, rep.n_skipped) == (n_eval, n_skip), t.name
+        reports.append(rep)
+    return reports
+
+
+def _asymmetric_loss():
+    def ev(x):
+        return float(x @ x), 2.0 * x, np.array([[2.0, 1.0], [0.0, 2.0]])
+
+    return SmoothLoss("asymmetric", 2, ev)
+
+
+class TestBatchedGridOracle:
+    @pytest.mark.parametrize("name", ["geman_mcclure", "welsh", "cauchy"])
+    @pytest.mark.parametrize("shift", [0.0, 3.1e-3, -4.7e-3])
+    def test_radial_losses_exp_and_nested(self, name, shift):
+        loss = as_1d_loss(make_radial(name))
+        grid = (np.arange(-2.0, 2.0 + 1e-9, 1e-2) + shift).reshape(-1, 1)
+        y_max = 1.5 * loss.value([2.0])
+        _assert_same_certificates(loss, [2.0], grid, lambda c: [
+            exp_convexifier(c, 0.0), nested_bound_convexifier(lambda y: 1.0 / (1.0 + y), 0.0, y_max)])
+
+    def test_nested_skips_points_past_y_max(self):
+        grid = np.arange(-2.0, 2.0 + 1e-9, 1e-2).reshape(-1, 1)
+        t = nested_bound_convexifier(lambda y: 2.0, 0.0, 1.0)
+        rep, = _assert_same_certificates(CAUCHY_1D, [2.0], grid, lambda c: [t])
+        past = int(np.sum(np.log1p(grid[:, 0] ** 2) >= 1.0))
+        assert past > 0 and rep.n_skipped == past
+        assert rep.n_evaluated + rep.n_skipped == len(grid)
+
+    def test_counterexample_kink_is_skipped(self):
+        grid = np.arange(-0.5, 1.5 + 1e-9, 0.125).reshape(-1, 1)
+        assert 0.0 in grid[:, 0]
+        reports = _assert_same_certificates(make_counterexample(), [2.0], grid, lambda c: [
+            exp_convexifier(c, 0.0), linear(1.0), exponential(1.0), make_table1("logarithmic", a=1.0)])
+        assert all(rep.n_skipped == 1 for rep in reports)
+
+    @pytest.mark.parametrize("loss, x0, positive", [
+        (quadratic([[1.0, 2.0], [2.0, 1.0]]), [1.0, 0.5], True),
+        (make_benchmark("rosenbrock"), [-1.2, 1.0], False),
+    ], ids=["quadratic", "rosenbrock"])
+    def test_two_dimensional_grids(self, loss, x0, positive):
+        # indefinite Hessians: the strict branch's row-wise det and g^T H g
+        grid = [np.array([a, b]) for a in np.linspace(-1.5, 1.5, 31) for b in np.linspace(-0.5, 2.0, 26)]
+        assert any(np.linalg.det(loss.evaluate(x)[2]) < 0.0 for x in grid)
+        assert (compact_constant(loss, x0, grid) > 0.0) == positive
+        _assert_same_certificates(loss, x0, grid, lambda c: [exp_convexifier(c, 0.0), linear(1.0)])
+
+    def test_schaible_strict_equals_per_point_formula(self):
+        loss = make_benchmark("rosenbrock")
+        for x in ([0.3, 0.5], [-1.0, 1.4], [1.0, 1.0], [0.0, 0.2]):
+            assert _bits(schaible_r(loss, x, mode="strict")) == _bits(_loop_strict_r(loss, as_point(x)))
+
+    def test_strict_schaible_batch_edge_rows(self):
+        # -1/(g H g) = 0.5; g = 0 gives no coefficient; det(H) > 0 gives
+        # none either; -1/(g H g) overflows to inf, without a warning
+        G = np.array([[1.0], [0.0], [1.0], [1e-161]])
+        H = np.array([[[-2.0]], [[-1.0]], [[3.0]], [[-1.0]]])
+        assert strict_schaible_batch(G, H).tolist() == [0.5, 0.0, 0.0, np.inf]
+
+    def test_no_evaluable_point_raises(self):
+        loss = make_counterexample()
+        with pytest.raises(InputError):
+            verify_convexified(loss, linear(1.0), np.array([[0.0]]))
+        with pytest.raises(InputError):  # f(0) = 0 is in the sublevel set, its Hessian is not
+            compact_constant(loss, [2.0], np.array([[0.0]]))
+        with pytest.raises(InputError):  # every point lies past y_max
+            verify_convexified(CAUCHY_1D, nested_bound_convexifier(lambda y: 1.0, 0.0, 0.5), [[2.0], [-2.0]])
+
+    def test_asymmetric_hessian_raises(self):
+        loss = _asymmetric_loss()
+        grid = np.array([[0.5, 0.5], [-0.5, 0.25]])
+        with pytest.raises(InputError):
+            compact_constant(loss, [1.0, 1.0], grid)
+        with pytest.raises(InputError):
+            verify_convexified(loss, linear(1.0), grid)
+        with pytest.raises(InputError):
+            check_pseudoconvex(loss, ([-1, -1], [1, 1]), n_samples=4)
+
+    @pytest.mark.parametrize("loss, box, n, seed", [
+        (saddle(), ([-1, -1], [1, 1]), 200, 0),
+        (make_counterexample(), ([-0.5], [1.5]), 600, 3),
+        (make_benchmark("rosenbrock"), ([-1.5, -0.5], [1.5, 2.0]), 100, 5),
+    ], ids=["saddle", "counterexample", "rosenbrock"])
+    def test_check_pseudoconvex_same_violations(self, loss, box, n, seed):
+        got = check_pseudoconvex(loss, box, n_samples=n, seed=seed).violations
+        want = _loop_check_pseudoconvex(loss, box, n_samples=n, seed=seed)
+        assert got and [(x.tobytes(), msg) for x, msg in got] == [(x.tobytes(), msg) for x, msg in want]

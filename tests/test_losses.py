@@ -184,6 +184,34 @@ class TestRadial:
             loss = as_1d_loss(make_radial(name))
             np.testing.assert_allclose(loss.gradient([0.0]), 0.0)
 
+    @pytest.mark.parametrize("x", [1e160, -1e160, 1e300])
+    def test_cauchy_far_radii_finite_without_warning(self, x):
+        # Runs under the suite's error::RuntimeWarning: x * x overflows past 2^512
+        from newton_transforms.starconvex import radial_star_loss
+
+        radial = make_radial("cauchy")
+        f, g, H = as_1d_loss(radial).evaluate([x])
+        assert f == pytest.approx(2.0 * np.log(abs(x)), rel=1e-15)
+        assert g[0] == pytest.approx(2.0 / x, rel=1e-15)
+        assert H[0, 0] == pytest.approx(-2.0 / x / x, rel=1e-15, abs=1e-320)
+        f, g, H = radial_star_loss(radial)[0].evaluate([x])
+        assert f == pytest.approx(np.pi * abs(x), rel=1e-14)  # I(r) -> 2 arctan(inf) = pi
+        assert g[0] == pytest.approx(np.pi * np.sign(x), rel=1e-14)
+        assert np.isfinite(H).all()
+
+    def test_cauchy_bits_below_the_far_radius(self):
+        # the exact forms, as before the asymptotic branch, for scalars and arrays
+        from newton_transforms.losses import CAUCHY_FAR_RADIUS
+
+        radial = make_radial("cauchy")
+        r = np.append(np.logspace(-3, 150, 200), np.nextafter(CAUCHY_FAR_RADIUS, 0.0))
+        exact = (np.log1p(r * r), 2.0 * r / (1.0 + r * r), 2.0 * (1.0 - r * r) / (1.0 + r * r) / (1.0 + r * r))
+        for fn, want in zip((radial.psi, radial.psi_prime, radial.psi_double_prime), exact):
+            assert fn(r).tobytes() == want.tobytes()
+            assert np.array([fn(v) for v in r]).tobytes() == want.tobytes()
+        far = np.array([CAUCHY_FAR_RADIUS, 1e200])
+        np.testing.assert_array_equal(radial.psi_prime(np.append(r, far))[-2:], 2.0 / far)
+
     def test_welsh_value_at_one(self):
         assert as_1d_loss(make_radial("welsh")).value([1.0]) == pytest.approx(1.0 - np.exp(-1.0))
 

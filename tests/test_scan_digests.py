@@ -1,11 +1,13 @@
 """Pinned SHA-256 digests of the CSVs that scan-conv, scan-flip and
 sweep-alpha write at small grids, of the trace CSVs that `run` writes for
-every schedule, and of every file the recipes write.
+every schedule, of the `convexify` reports, and of every file the recipes
+write.
 
 The scan digests were recorded with the per-cell scalar scans that preceded
 the lockstep engine. The run and recipe digests were recorded while
 run_newton still symmetrized twice per iteration and computed its range
-residual inline. A refactor that changes any number, iteration count or
+residual inline. The convexify report digests were recorded while the
+report evaluated the loss point by point. A refactor that changes any number, iteration count or
 error flag in these files fails here. If a change alters the bytes on
 purpose, re-pin the digests and say why in CHANGES.md.
 
@@ -67,9 +69,15 @@ CASES = {
     "run-armijo-none": ["run", "--loss", "beale", "--x0", "1,1.2", "--schedule", "armijo", "--max-iters", "40"],
     "run-armijo-linear": ["run", "--loss", "rosenbrock", "--transform", "linear:a=2:b=1", "--x0=-1.2,1",
                           "--schedule", "armijo", "--max-iters", "60"],
+    "convexify-cauchy1d": ["convexify", "--loss", "cauchy1d", "--x0", "2", "--grid=-2:2:0.01"],
+    # the grid holds the kink x = 0, where the counterexample's Hessian is undefined: no row
+    "convexify-counterexample": ["convexify", "--loss", "counterexample", "--x0", "2",
+                                 "--grid=-0.5:1.5:0.25"],
 }
 
 DIGESTS = {
+    "convexify-cauchy1d": "9366d0bd31493e6edb4e275175617d588c2232339ea37920782bdb89ad47e96d",
+    "convexify-counterexample": "511090e5945e4bad0461bee09cdf3c6f2cc0c8cef6725b45d4fa7e0e9b761783",
     "conv-beale-log1": "92acc3021baf268dca4bd498ac45cc862ade46ede9ee3698465f7a05e467c4de",
     "conv-beale-none": "9a1ef0dbc08ff08d09f691390bd2a6bbeee3127acc64fd49807b48460b3d586f",
     "conv-beale-poly0.5": "cab109a40d63294b0978115221b1c8c142d0931e40eeb1642c36e95fcb05090e",
