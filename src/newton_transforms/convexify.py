@@ -18,11 +18,11 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, InputError
+from .errors import InputError
 from .linalg import principal_minors, row_dot, symmetrize, symmetrize_batch
 from .losses import as_point
 from .quadrature import CumulativeIntegral
-from .transforms import ScalarTransform, linear
+from .transforms import ScalarTransform, linear, per_row
 
 
 def bordered_hessian(g, H):
@@ -234,12 +234,7 @@ def verify_convexified(loss, t, grid):
     counted."""
     X = np.asarray(grid, dtype=float)
     f, G, H, skip = loss.evaluate_batch(X)
-    r = np.zeros(len(X))
-    for i in np.flatnonzero(~skip):
-        try:
-            r[i] = t.ratio(float(f[i]))
-        except (DomainError, EvaluationError):
-            skip[i] = True
+    r, = per_row((t.ratio,), f, skip)
     keep = ~skip
     if not keep.any():
         raise InputError("no grid point was evaluable")

@@ -14,6 +14,7 @@ per row, and row dot products go through ``np.matmul`` rather than
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,11 +26,13 @@ from .errors import CapabilityError, InputError
 #: Relative asymmetry beyond which a matrix is rejected instead of symmetrized.
 ASYMMETRY_RTOL = 1e-8
 
-#: Default relative cutoff for pseudoinverse spectral truncation.
+#: Relative cutoff below which a pseudoinverse solve treats an eigenvalue as zero.
 DEFAULT_PINV_RTOL = 1e-10
 
 #: Hard cap for exhaustive principal-minor enumeration (2^d - 1 subsets).
 MINOR_DIMENSION_CAP = 8
+
+_UNGUARDED = contextlib.nullcontext()  # cheaper than np.errstate where nothing can overflow
 
 
 @dataclass(frozen=True)
@@ -44,18 +47,14 @@ class DualNormResult:
     grad_norm: float
 
 
-def _as_square(M, name="matrix"):
+def symmetrize(M):
+    """Return (M + M^T)/2 of a finite square matrix, rejecting asymmetry above
+    1e-8 relative."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InputError(f"{name} must be square, got shape {M.shape}")
+        raise InputError(f"matrix must be square, got shape {M.shape}")
     if not np.isfinite(M).all():
-        raise InputError(f"{name} has non-finite entries")
-    return M
-
-
-def symmetrize(M):
-    """Return (M + M^T)/2, rejecting asymmetry above 1e-8 relative."""
-    M = _as_square(M)
+        raise InputError("matrix has non-finite entries")
     D = (M - M.T).ravel(order="K")  # np.linalg.norm's own reduction, without its wrapper
     asym = math.sqrt(D.dot(D))
     if asym > 0.0 and asym > ASYMMETRY_RTOL * np.linalg.norm(M):  # exact symmetry needs no scale
@@ -96,10 +95,10 @@ def symmetrize_batch(M):
         raise InputError(f"matrix stack must have shape (N, d, d), got {M.shape}")
     if not np.all(np.isfinite(M)):
         raise InputError("matrix has non-finite entries")
-    n = M.shape[0]
+    n, d, _ = M.shape
     Mt = M.transpose(0, 2, 1)
-    scale = row_norm(M.reshape(n, -1))
-    asym = row_norm((M - Mt).reshape(n, -1))
+    scale = row_norm(M.reshape(n, d * d))  # an empty stack has no -1 extent
+    asym = row_norm((M - Mt).reshape(n, d * d))
     if np.any((scale > 0) & (asym > ASYMMETRY_RTOL * scale)):
         raise InputError("matrix asymmetry exceeds 1e-8 relative; refusing to symmetrize")
     return 0.5 * (M + Mt)
@@ -107,9 +106,7 @@ def symmetrize_batch(M):
 
 def pinv_solve_batch(H, G):
     """pinv_solve() for every row: H (N, d, d), G (N, d) -> P (N, d)."""
-    H, G = _check_pinv_args(H, G, stacked=True)
-    if H.shape[0] == 0:
-        return np.zeros_like(G)
+    H, G, _ = _check_pinv_args(H, G, stacked=True)
     w, V = np.linalg.eigh(H)
     wmax = np.max(np.abs(w), axis=1)
     keep = (np.abs(w) >= DEFAULT_PINV_RTOL * wmax[:, None]) & (wmax > 0.0)[:, None]
@@ -121,55 +118,52 @@ def pinv_solve_batch(H, G):
     return P
 
 
-def _pinv_apply(H, g, rel_tol):
-    """Eigendecomposition-based H^+ g with relative spectral cutoff; returns
-    (solution, rank)."""
-    w, V = np.linalg.eigh(H)
-    wmax = abs(w).max() if w.size else 0.0
-    if wmax == 0.0:
-        return np.zeros_like(g), 0
-    keep = abs(w) >= rel_tol * wmax
-    inv = np.zeros_like(w)
-    inv[keep] = 1.0 / w[keep]
-    return V @ (inv * (V.T @ g)), int(np.count_nonzero(keep))
-
-
 def _check_pinv_args(H, g, stacked=False):
+    """Symmetrized H, g as floats and max |g| (finite, else InputError)."""
     H = symmetrize_batch(H) if stacked else symmetrize(H)
     g = np.asarray(g, dtype=float)
     if g.shape != H.shape[:-1]:
         raise InputError(f"gradient shape {g.shape} does not match matrix shape {H.shape}")
-    if not np.isfinite(g).all():
+    gmax = abs(g).max(initial=0.0)
+    if not gmax < np.inf:  # NaN fails too
         raise InputError("vector has non-finite entries")
-    return H, g
+    return H, g, gmax
 
 
-def pinv_solve(H, g, rel_tol=DEFAULT_PINV_RTOL):
-    """Minimum-norm solution of min ||H p - g|| via spectral pseudoinverse.
-
-    Eigenvalues with |lambda| < rel_tol * max|lambda| are treated as zero.
-    """
-    H, g = _check_pinv_args(H, g)
-    if not (0.0 < rel_tol <= 1e-4):
-        raise InputError(f"rel_tol must lie in (0, 1e-4], got {rel_tol}")
-    return _pinv_apply(H, g, rel_tol)[0]
+def pinv_solve(H, g):
+    """Minimum-norm solution of min ||H p - g||: dual_norm_sq's direction,
+    with eigenvalues below DEFAULT_PINV_RTOL * max|lambda| treated as zero."""
+    return dual_norm_sq(H, g).direction
 
 
 def dual_norm_sq(H, g):
     """The Newton direction p = H^+ g with ||g||*^2 = <g, p>, and whether g
     lies in Range(H).
 
-    H is symmetrized and validated once. With the cutoff DEFAULT_PINV_RTOL,
-    in_range is ||H p - g|| <= DEFAULT_PINV_RTOL * ||g|| (true for g = 0).
-    The value can be negative when H is indefinite.
+    H is symmetrized and validated once; p is the eigendecomposition
+    pseudoinverse with the relative cutoff DEFAULT_PINV_RTOL. in_range is
+    ||H p - g|| <= DEFAULT_PINV_RTOL * ||g|| (true for g = 0). The value can
+    be negative when H is indefinite. Overflow gives non-finite results
+    without a NumPy warning.
     """
-    H, g = _check_pinv_args(H, g)
-    p, rank = _pinv_apply(H, g, DEFAULT_PINV_RTOL)
-    gnorm = math.sqrt(g.dot(g))
-    if gnorm == 0.0:
-        return DualNormResult(0.0, True, rank, p, gnorm)
-    r = H @ p - g
-    return DualNormResult(float(g @ p), bool(math.sqrt(r.dot(r)) <= DEFAULT_PINV_RTOL * gnorm), rank, p, gnorm)
+    H, g, gmax = _check_pinv_args(H, g)
+    w, V = np.linalg.eigh(H)
+    wmax = abs(w).max() if w.size else 0.0
+    # As ||p|| <= ||g|| / (1e-10 wmax), nothing below overflows when this holds.
+    safe = gmax < 1e150 and 1e-140 * gmax < wmax > 1e-290
+    with _UNGUARDED if safe else np.errstate(over="ignore", invalid="ignore"):
+        if wmax == 0.0:
+            p, rank = np.zeros_like(g), 0
+        else:
+            keep = abs(w) >= DEFAULT_PINV_RTOL * wmax
+            inv = np.zeros_like(w)
+            inv[keep] = 1.0 / w[keep]
+            p, rank = V @ (inv * (V.T @ g)), int(np.count_nonzero(keep))
+        gnorm = math.sqrt(g.dot(g))
+        if gnorm == 0.0:
+            return DualNormResult(0.0, True, rank, p, gnorm)
+        r = H @ p - g
+        return DualNormResult(float(g @ p), bool(math.sqrt(r.dot(r)) <= DEFAULT_PINV_RTOL * gnorm), rank, p, gnorm)
 
 
 def min_eigenvalue(M):

@@ -28,6 +28,9 @@ MAX_ITERS = "max_iters"
 SINGULAR_SCALING = "singular_scaling"
 DOMAIN_ERROR = "domain_error"
 
+#: An iterate this close to the minimizer reached it (scan cells and basin radii).
+RADIUS_TOL = 1e-6
+
 
 @dataclass
 class NewtonConfig:

@@ -22,11 +22,8 @@ import numpy as np
 from .errors import DomainError, EvaluationError, InputError
 from .linalg import norm_exceeds, pinv_solve, pinv_solve_batch, row_dot, row_norm, symmetrize
 from .losses import as_point
-from .newton import CONVERGED, DIVERGED, DOMAIN_ERROR, MAX_ITERS, NewtonConfig
-from .transforms import SCALING_QUALIFIED_TOL, SCALING_ZERO_TOL, compose, scaling_factor
-
-#: A convergence-scan cell converged iff an iterate came this close to the minimizer.
-RADIUS_TOL = 1e-6
+from .newton import CONVERGED, DIVERGED, DOMAIN_ERROR, MAX_ITERS, RADIUS_TOL, NewtonConfig
+from .transforms import SCALING_QUALIFIED_TOL, SCALING_ZERO_TOL, compose, per_row
 
 
 @dataclass
@@ -111,20 +108,13 @@ def scan_sign_flip(loss, t, x_range, y_range=None, cross_check_fraction=0.01, se
     ok = np.flatnonzero(~error)
     H, G = H[ok], G[ok]
     P = pinv_solve_batch(H, G)
-    dual = np.where(row_dot(G, G) == 0.0, 0.0, row_dot(G, P)).tolist()  # dual_norm_sq
-    s = np.full(len(ok), np.nan)
-    for j, (fj, qj) in enumerate(zip(f[ok].tolist(), dual)):
-        try:
-            s[j] = scaling_factor(t, fj, qj)
-        except (DomainError, EvaluationError):
-            error[ok[j]] = True
+    dual = np.where(row_dot(G, G) == 0.0, 0.0, row_dot(G, P))  # dual_norm_sq
+    s = 1.0 + per_row((t.ratio,), f, error)[0, ok] * dual  # scaling_factor, row for row
     valid = ~error[ok]
     cells = ok[valid]
     sign = np.zeros(n, dtype=np.int8)
     sign[cells] = np.where(np.abs(s[valid]) <= SCALING_ZERO_TOL, 0, np.where(s[valid] > 0, 1, -1))
-    final_value = np.full(n, np.nan)
-    final_value[cells] = f[cells]
-    scan = _grid("sign", xs, ys, scaling_sign=sign, final_value=final_value, error=error)
+    scan = _grid("sign", xs, ys, scaling_sign=sign, final_value=np.where(error, np.nan, f), error=error)
 
     # One uniform draw per candidate cell, in cell order.
     candidates = np.flatnonzero(valid & (np.abs(s) > SCALING_QUALIFIED_TOL))

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import EvaluationError, InputError
 from .losses import SmoothLoss, as_point, make_radial
-from .newton import CONVERGED, ConstantSchedule, NewtonConfig, run_newton
+from .newton import CONVERGED, RADIUS_TOL, ConstantSchedule, NewtonConfig, run_newton
 from .quadrature import adaptive_simpson
 from .transforms import ScalarTransform
 
@@ -119,8 +119,11 @@ def radial_star_loss(radial):
         t = x[0] - c
         r = abs(t)
         I = integrals(r)[0]
+        value = f_star + float(r) * float(I)  # as Python floats, overflow is inf without a warning
+        if value == np.inf:
+            raise EvaluationError(f"star({radial.name}) value overflows at r = {r}")
         grad = (I + radial.psi_prime(r)) * np.sign(t)
-        return f_star + r * I, np.array([grad]), np.array([[_star_curvature(radial, r)]])
+        return value, np.array([grad]), np.array([[_star_curvature(radial, r)]])
 
     loss = SmoothLoss(
         name=f"star({radial.name})1d",
@@ -206,50 +209,45 @@ def _check_bracket(bracket_hi):
         raise InputError(f"bracket_hi must be positive and finite, got {bracket_hi}")
 
 
-def _bisect_predicate(predicate, bracket_hi, min_probe=0.0):
-    """Largest x0 with predicate true (50 bisection rounds), assuming monotone
-    predicate; +inf when the probes at bracket_hi * PROBE_FACTORS all pass. A
-    predicate that only holds below min_probe counts as failing everywhere
-    (broken loss)."""
-    if predicate(bracket_hi):
-        if all(predicate(bracket_hi * f) for f in PROBE_FACTORS):
-            return np.inf, bracket_hi
-        lo = bracket_hi
-        hi = bracket_hi
-        for f in PROBE_FACTORS:
-            if predicate(bracket_hi * f):
-                lo = bracket_hi * f
-            else:
-                hi = bracket_hi * f
-                break
-    else:
-        lo = None
-        hi = bracket_hi
-        probe = bracket_hi
-        for _ in range(60):
-            probe *= 0.5
-            if probe <= min_probe:
-                break
-            if predicate(probe):
-                lo = probe
-                break
-        if lo is None:
-            raise InputError("predicate fails at arbitrarily small starts: broken loss")
+def _bisect(holds, lo, hi):
+    """Midpoint after 50 bisection rounds on [lo, hi], keeping holds(lo) true
+    and holds(hi) false."""
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        if predicate(mid):
+        if holds(mid):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi), hi
+    return 0.5 * (lo + hi)
+
+
+def _bisect_predicate(predicate, bracket_hi, min_probe=0.0):
+    """Largest x0 with predicate true, assuming monotone predicate; +inf when
+    the probes at bracket_hi * PROBE_FACTORS all pass. A predicate that only
+    holds below min_probe counts as failing everywhere (broken loss)."""
+    if predicate(bracket_hi):
+        lo = bracket_hi
+        for f in PROBE_FACTORS:
+            if not predicate(bracket_hi * f):
+                return _bisect(predicate, lo, bracket_hi * f)
+            lo = bracket_hi * f
+        return np.inf
+    probe = bracket_hi
+    for _ in range(60):
+        probe *= 0.5
+        if probe <= min_probe:
+            break
+        if predicate(probe):
+            return _bisect(predicate, probe, bracket_hi)
+    raise InputError("predicate fails at arbitrarily small starts: broken loss")
 
 
 def convergence_radius(loss_1d, bracket_hi=8.0, cfg=None, verify_monotone=True):
     """Empirical basin radius of the unit-stepsize Newton method on a 1D loss.
 
     Bisects (50 iterations) on x0 in (0, bracket_hi] with the predicate
-    "run_newton(loss, constant(1), x* + x0) terminates converged within 1e-6
-    of the known minimizer"; probes bracket_hi * {10, 100, 1000} before
+    "run_newton(loss, constant(1), x* + x0) terminates converged within
+    RADIUS_TOL of the known minimizer"; probes bracket_hi * {10, 100, 1000} before
     reporting +inf. Monotonicity of the predicate is verified post hoc on
     20 points per side.
 
@@ -264,9 +262,9 @@ def convergence_radius(loss_1d, bracket_hi=8.0, cfg=None, verify_monotone=True):
 
     def predicate(r):
         tr = run_newton(loss_1d, ConstantSchedule(1.0), np.array([xstar + r]), cfg)
-        return tr.termination == CONVERGED and abs(tr.final_x[0] - xstar) <= 1e-6
+        return tr.termination == CONVERGED and abs(tr.final_x[0] - xstar) <= RADIUS_TOL
 
-    radius, _ = _bisect_predicate(predicate, bracket_hi, min_probe=100.0 * cfg.xtol)
+    radius = _bisect_predicate(predicate, bracket_hi, min_probe=100.0 * cfg.xtol)
     monotone = True
     if verify_monotone and np.isfinite(radius):
         below = np.linspace(radius * 0.02, radius * 0.98, 20)
@@ -304,11 +302,4 @@ def convexity_radius(loss_1d, bracket_hi=8.0):
                 break
         if neg is None:
             return RadiusResult(np.inf)
-    lo, hi = 1e-12, neg
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        if curvature(mid) < -CURVATURE_TOL:
-            hi = mid
-        else:
-            lo = mid
-    return RadiusResult(float(0.5 * (lo + hi)))
+    return RadiusResult(float(_bisect(lambda r: not curvature(r) < -CURVATURE_TOL, 1e-12, neg)))

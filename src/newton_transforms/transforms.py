@@ -159,6 +159,22 @@ class TransformedLoss(SmoothLoss):
     transform: ScalarTransform = None
 
 
+def per_row(fns, f, err):
+    """Columns (len(fns), N) of the scalar functions fns at f[i] of every row
+    not flagged in err, NaN on flagged rows. A row where one of them raises
+    DomainError or EvaluationError joins err, in place; later ones skip it."""
+    ys = f.tolist()
+    out = np.full((len(fns), len(ys)), np.nan)
+    for col, fn in zip(out, fns):
+        for i in np.flatnonzero(~err).tolist():
+            try:
+                col[i] = fn(ys[i])
+            except (DomainError, EvaluationError):
+                err[i] = True
+                out[:, i] = np.nan
+    return out
+
+
 def compose(base, t):
     """Compose a loss with a monotone transform."""
 
@@ -172,17 +188,8 @@ def compose(base, t):
         return t.phi(f), p1 * g, p1 * H + p2 * (g[:, None] * g)
 
     def ev_batch(X):
-        # phi and its derivatives are scalar functions: apply them per row. A
-        # row where ev would raise is an error row.
         f, G, H, err = base.evaluate_batch(X)
-        phi, p1, p2 = (np.full(len(f), np.nan) for _ in range(3))
-        for i in np.flatnonzero(~err):
-            y = float(f[i])
-            try:
-                t.require(y)
-                p1[i], p2[i], phi[i] = t.phi_prime(y), t.phi_double_prime(y), t.phi(y)
-            except (DomainError, EvaluationError):
-                err[i] = True
+        _, p1, p2, phi = per_row((t.require, t.phi_prime, t.phi_double_prime, t.phi), f, err)
         G = np.where(err[:, None], np.nan, G)
         return (phi, p1[:, None] * G,
                 p1[:, None, None] * H + p2[:, None, None] * (G[:, :, None] * G[:, None, :]), err)

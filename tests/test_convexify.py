@@ -401,7 +401,9 @@ class TestBatchedGridOracle:
         grid = [np.array([a, b]) for a in np.linspace(-1.5, 1.5, 31) for b in np.linspace(-0.5, 2.0, 26)]
         assert any(np.linalg.det(loss.evaluate(x)[2]) < 0.0 for x in grid)
         assert (compact_constant(loss, x0, grid) > 0.0) == positive
-        _assert_same_certificates(loss, x0, grid, lambda c: [exp_convexifier(c, 0.0), linear(1.0)])
+        *_, log_rep = _assert_same_certificates(loss, x0, grid, lambda c: [
+            exp_convexifier(c, 0.0), linear(1.0), make_table1("logarithmic", a=1.0)])
+        assert log_rep.n_skipped == sum(loss.value(x) <= -1.0 for x in grid)  # log(1 + f) needs f > -1
 
     def test_schaible_strict_equals_per_point_formula(self):
         loss = make_benchmark("rosenbrock")

@@ -11,7 +11,8 @@ import pytest
 
 from newton_transforms.errors import DomainError, EvaluationError, InputError
 from newton_transforms.linalg import dual_norm_sq, norm_exceeds, symmetrize
-from newton_transforms.losses import as_1d_loss, make_benchmark, make_polynorm, make_polytope_instance, make_radial
+from newton_transforms.losses import (as_1d_loss, make_benchmark, make_counterexample, make_polynorm,
+                                     make_polytope_instance, make_radial)
 from newton_transforms.newton import CONVERGED, DOMAIN_ERROR, ConstantSchedule, NewtonConfig, run_newton
 from newton_transforms.scans import (
     best_fixed_stepsize,
@@ -26,6 +27,7 @@ TRANSFORMS = [("polynomial", dict(r=0.5)), ("polynomial", dict(r=1.0)), ("polyno
               ("logarithmic", dict(a=1.0))]
 GRIDS = {"beale": ((-3.87, 4.13, 7), (-4.21, 3.79, 7)), "goldstein_price": ((-2.07, 1.93, 7), (-1.88, 2.12, 7))}
 CFG = NewtonConfig(max_iters=40)
+SHIFTED_BEALE = compose(make_benchmark("beale"), make_table1("linear", a=1.0, b=-5.0))  # f - 5
 
 
 def _cells(x_range, y_range):
@@ -100,6 +102,11 @@ def test_sign_flip_domain_error_cells():
     quadratic = make_polynorm(np.eye(2), 2)
     _assert_sign_flip_matches(quadratic, make_table1("polynomial", r=0.5), (-1.0, 1.0, 5), (-1.0, 1.0, 5))
     assert scan_sign_flip(quadratic, make_table1("polynomial", r=0.5), (-1.0, 1.0, 5), (-1.0, 1.0, 5)).error.sum() == 1
+    # log(1 + y) is undefined at y = f - 5 <= -1, on the cells where Beale is below 4
+    _assert_sign_flip_matches(SHIFTED_BEALE, make_table1("logarithmic", a=1.0), *GRIDS["beale"])
+    assert 0 < scan_sign_flip(SHIFTED_BEALE, make_table1("logarithmic", a=1.0), *GRIDS["beale"]).error.sum() < 49
+    # the counterexample's kink is the only cell: no row reaches the stacked solve
+    _assert_sign_flip_matches(make_counterexample(), make_table1("polynomial", r=0.5), (0.0, 1.0, 1), None)
 
 
 def test_star_transform_overflow_cells():
@@ -235,6 +242,7 @@ def test_sweep_rejects_wrong_dimension_start():
 
 @pytest.mark.parametrize("loss", [make_benchmark("beale"), make_benchmark("goldstein_price"),
                                   compose(make_benchmark("beale"), make_table1("polynomial", r=0.5)),
+                                  compose(SHIFTED_BEALE, make_table1("logarithmic", a=1.0)),
                                   as_1d_loss(make_radial("welsh"))], ids=lambda loss: loss.name)
 def test_evaluate_batch_matches_evaluate(loss):
     rng = np.random.default_rng(0)
@@ -250,7 +258,8 @@ def test_evaluate_batch_matches_evaluate(loss):
         assert not err[i]
         assert f[i].tobytes() == np.float64(want[0]).tobytes()
         assert G[i].tobytes() == want[1].tobytes() and H[i].tobytes() == want[2].tobytes()
-    assert err[0] == ("poly" in loss.name)
+    assert err[0] == loss.name.startswith(("poly", "log"))  # f = 0 under f^0.5, f - 5 = -5 under log(1 + y)
+    assert err.sum() < len(X)
 
 
 def test_norm_exceeds_matches_norm_without_overflow():

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from newton_transforms.checks import check_loss, check_transform
-from newton_transforms.errors import InputError
+from newton_transforms.errors import EvaluationError, InputError
 from newton_transforms.losses import (
     SmoothLoss,
     as_1d_loss,
     make_polynorm,
     make_radial,
 )
-from newton_transforms.newton import NewtonConfig
+from newton_transforms.newton import ConstantSchedule, NewtonConfig, run_newton
 from newton_transforms.quadrature import adaptive_simpson
 from newton_transforms.starconvex import (
     _radial_integrals,
@@ -186,6 +186,17 @@ class TestRadialIntegralTable:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert np.isfinite(scaling_factor(transform_from_spec("star:cauchy"), 377.0, 1.0))
+
+    def test_star_loss_overflow_is_an_evaluation_error(self):
+        # f* + r I(r) overflows at r = 1.7e308 (I tends to pi for cauchy)
+        loss = radial_star_loss(make_radial("cauchy"))[0]
+        with pytest.raises(EvaluationError):
+            loss.evaluate([1.7e308])
+        f, G, H, err = loss.evaluate_batch([[1.7e308], [1.0], [-1.7e308]])
+        assert err.tolist() == [True, False, True] and np.isnan(f[[0, 2]]).all()
+        assert f[1] == loss.value([1.0])
+        tr = run_newton(loss, ConstantSchedule(1.0), [1.7e308])
+        assert (tr.termination, tr.iterations) == ("domain_error", 0)
 
 
 class TestConvexityNeighborhood:
