@@ -22,7 +22,7 @@ from .errors import InputError
 from .linalg import principal_minors, row_dot, symmetrize, symmetrize_batch
 from .losses import as_point
 from .quadrature import CumulativeIntegral
-from .transforms import ScalarTransform, linear, per_row
+from .transforms import ScalarTransform, constant, linear
 
 
 def bordered_hessian(g, H):
@@ -174,7 +174,7 @@ def exp_convexifier(c, f_star):
         phi_double_prime=lambda y: c * np.exp(c * (y - f_star)),
         valid_interval=(f_star, np.inf),
         lo_closed=True,
-        ratio_fn=lambda y: c,
+        ratio_fn=constant(c),
     )
 
 
@@ -194,14 +194,19 @@ def nested_bound_convexifier(h, f_star, y_max):
         return float(np.exp(H_cum(y)))
 
     phi_cum = CumulativeIntegral(phi_prime, f_star, y_max)
+
+    def each(fn):  # h and the tables take floats: the loop over an array's elements stays here
+        loop = np.vectorize(fn, otypes=[float])
+        return lambda y: loop(y)[()]
+
     return ScalarTransform(
         name=f"nestedconv(f*={f_star:g})",
-        phi=lambda y: float(phi_cum(y)),
-        phi_prime=phi_prime,
-        phi_double_prime=lambda y: float(h(y)) * phi_prime(y),
+        phi=each(phi_cum),
+        phi_prime=each(phi_prime),
+        phi_double_prime=each(lambda y: float(h(y)) * phi_prime(y)),
         valid_interval=(f_star, y_max),
         lo_closed=True,
-        ratio_fn=lambda y: float(h(y)),
+        ratio_fn=each(lambda y: float(h(y))),
     )
 
 
@@ -226,7 +231,7 @@ class ConvexifiedReport:
         return self.min_eig >= self.threshold
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def verify_convexified(loss, t, grid):
     """Minimum eigenvalue over the grid of the phi'-normalized transformed
     Hessian H + (phi''/phi') g g^T; also tracks its largest spectral norm for
@@ -234,12 +239,12 @@ def verify_convexified(loss, t, grid):
     counted."""
     X = np.asarray(grid, dtype=float)
     f, G, H, skip = loss.evaluate_batch(X)
-    r, = per_row((t.ratio,), f, skip)
+    skip |= ~t.contains(f)
     keep = ~skip
     if not keep.any():
         raise InputError("no grid point was evaluable")
     G = G[keep]
-    A = symmetrize_batch(H[keep]) + r[keep, None, None] * (G[:, :, None] * G[:, None, :])
+    A = symmetrize_batch(H[keep]) + t.ratio(f[keep])[:, None, None] * (G[:, :, None] * G[:, None, :])
     if not np.isfinite(A).all():
         raise InputError("matrix has non-finite entries")
     w = np.linalg.eigvalsh(A)

@@ -1,7 +1,7 @@
 """Dense small-dimension linear algebra: pseudoinverse solves, dual Hessian
 norms, eigenvalue-based PSD tests, and principal-minor enumeration.
 
-All spectral routines symmetrize their input (M <- (M + M^T)/2) after checking
+All spectral routines symmetrize their input (M <- M/2 + M^T/2) after checking
 that the asymmetry is below 1e-8 relative; larger drift indicates an upstream
 bug and is rejected.
 
@@ -45,8 +45,8 @@ class DualNormResult:
 
 
 def symmetrize(M):
-    """Return (M + M^T)/2 of a finite square matrix, rejecting asymmetry above
-    1e-8 relative."""
+    """Return M/2 + M^T/2 of a finite square matrix (halving first keeps entries
+    near the float maximum finite), rejecting asymmetry above 1e-8 relative."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InputError(f"matrix must be square, got shape {M.shape}")
@@ -56,7 +56,7 @@ def symmetrize(M):
     asym = math.sqrt(D.dot(D))
     if asym > 0.0 and asym > ASYMMETRY_RTOL * np.linalg.norm(M):  # exact symmetry needs no scale
         raise InputError("matrix asymmetry exceeds 1e-8 relative; refusing to symmetrize")
-    return 0.5 * (M + M.T)
+    return 0.5 * M + 0.5 * M.T
 
 
 def row_dot(a, b):
@@ -98,7 +98,7 @@ def symmetrize_batch(M):
     asym = row_norm((M - Mt).reshape(n, d * d))
     if np.any((scale > 0) & (asym > ASYMMETRY_RTOL * scale)):
         raise InputError("matrix asymmetry exceeds 1e-8 relative; refusing to symmetrize")
-    return 0.5 * (M + Mt)
+    return 0.5 * M + 0.5 * Mt
 
 
 def pinv_solve_batch(H, G):
@@ -138,9 +138,9 @@ def dual_norm_sq(H, g):
 
     H is symmetrized and validated once; p is the eigendecomposition
     pseudoinverse with the relative cutoff DEFAULT_PINV_RTOL. in_range is
-    ||H p - g|| <= DEFAULT_PINV_RTOL * ||g|| (true for g = 0). The value can
-    be negative when H is indefinite. Overflow gives non-finite results
-    without a NumPy warning.
+    ||H p - g|| <= DEFAULT_PINV_RTOL * ||g|| (true for g = 0, false when ||g||
+    overflows). The value can be negative when H is indefinite. Overflow
+    gives non-finite results without a NumPy warning.
     """
     H, g = _check_pinv_args(H, g)
     w, V = np.linalg.eigh(H)
@@ -156,7 +156,8 @@ def dual_norm_sq(H, g):
     if gnorm == 0.0:
         return DualNormResult(0.0, True, rank, p, gnorm)
     r = H @ p - g
-    return DualNormResult(float(g @ p), bool(math.sqrt(r.dot(r)) <= DEFAULT_PINV_RTOL * gnorm), rank, p, gnorm)
+    in_range = gnorm < math.inf and math.sqrt(r.dot(r)) <= DEFAULT_PINV_RTOL * gnorm
+    return DualNormResult(float(g @ p), bool(in_range), rank, p, gnorm)
 
 
 def min_eigenvalue(M):

@@ -104,12 +104,12 @@ class RadialLoss:
     center: float = 0.0
 
     def psi_inverse(self, c):
-        """The radius r >= 0 with psi(r) = c; EvaluationError when r overflows."""
-        if c < 0.0 or c >= self.psi_sup:
+        """The radius r >= 0 with psi(r) = c, per element; EvaluationError when an r overflows."""
+        if np.asarray((c < 0.0) | (c >= self.psi_sup)).any():
             raise DomainError(f"psi_inverse of '{self.name}' defined on [0, {self.psi_sup}), got {c}")
         with np.errstate(over="ignore"):
             r = self._psi_inverse(c)
-        if not np.isfinite(r):
+        if not np.isfinite(r).all():
             raise EvaluationError(f"psi_inverse of '{self.name}' overflows at {c}")
         return r
 
@@ -311,8 +311,8 @@ def make_polytope_instance(p, seed=1):
 def _gm_profile():
     return dict(
         psi=lambda r: r * r / (r * r + 1.0),
-        psi_prime=lambda r: 2.0 * r / (r * r + 1.0) ** 2,
-        psi_double_prime=lambda r: (2.0 - 6.0 * r * r) / (r * r + 1.0) ** 3,
+        psi_prime=lambda r: 2.0 * r / np.square(r * r + 1.0),
+        psi_double_prime=lambda r: (2.0 - 6.0 * r * r) / np.power(r * r + 1.0, 3),
         _psi_inverse=lambda c: np.sqrt(c / (1.0 - c)),
         psi_sup=1.0,
     )

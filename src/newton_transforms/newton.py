@@ -182,7 +182,7 @@ class BacktrackingSchedule:
 # Driver
 # ----------------------------------------------------------------------------
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def run_newton(loss, schedule, x0, cfg=None):
     """Damped Newton with pseudoinverse directions; never raises past input
     validation — failures are recorded in trace.termination. Overflow is

@@ -23,7 +23,7 @@ from .errors import DomainError, EvaluationError, InputError
 from .linalg import norm_exceeds, pinv_solve, pinv_solve_batch, row_dot, row_norm, symmetrize
 from .losses import as_point
 from .newton import CONVERGED, DIVERGED, DOMAIN_ERROR, MAX_ITERS, RADIUS_TOL, NewtonConfig
-from .transforms import SCALING_QUALIFIED_TOL, SCALING_ZERO_TOL, compose, per_row
+from .transforms import SCALING_QUALIFIED_TOL, SCALING_ZERO_TOL, compose
 
 
 @dataclass
@@ -90,7 +90,7 @@ def _nodes(xs, ys):
     return np.stack([gx.ravel(), gy.ravel()], axis=1)
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def scan_sign_flip(loss, t, x_range, y_range=None, cross_check_fraction=0.01, seed=0):
     """Sign of the stepsize scaling factor per grid cell.
 
@@ -104,20 +104,18 @@ def scan_sign_flip(loss, t, x_range, y_range=None, cross_check_fraction=0.01, se
     X = _nodes(xs, ys)
     n = len(X)
     f, G, H, error = loss.evaluate_batch(X)
-    error |= ~(np.isfinite(f) & np.all(np.isfinite(G), axis=1) & np.all(np.isfinite(H), axis=(1, 2)))
+    error |= ~(t.contains(f) & np.all(np.isfinite(G), axis=1) & np.all(np.isfinite(H), axis=(1, 2)))
     ok = np.flatnonzero(~error)
     H, G = H[ok], G[ok]
     P = pinv_solve_batch(H, G)
     dual = np.where(row_dot(G, G) == 0.0, 0.0, row_dot(G, P))  # dual_norm_sq
-    s = 1.0 + per_row((t.ratio,), f, error)[0, ok] * dual  # scaling_factor, row for row
-    valid = ~error[ok]
-    cells = ok[valid]
+    s = 1.0 + t.ratio(f[ok]) * dual  # scaling_factor, row for row
     sign = np.zeros(n, dtype=np.int8)
-    sign[cells] = np.where(np.abs(s[valid]) <= SCALING_ZERO_TOL, 0, np.where(s[valid] > 0, 1, -1))
+    sign[ok] = np.where(np.abs(s) <= SCALING_ZERO_TOL, 0, np.where(s > 0, 1, -1))
     scan = _grid("sign", xs, ys, scaling_sign=sign, final_value=np.where(error, np.nan, f), error=error)
 
     # One uniform draw per candidate cell, in cell order.
-    candidates = np.flatnonzero(valid & (np.abs(s) > SCALING_QUALIFIED_TOL))
+    candidates = np.flatnonzero(np.abs(s) > SCALING_QUALIFIED_TOL)
     rng = np.random.default_rng(seed)
     L = compose(loss, t)
     for j in candidates[rng.uniform(size=len(candidates)) < cross_check_fraction]:
@@ -145,7 +143,7 @@ class LockstepRuns(NamedTuple):
     near_minimizer: np.ndarray  # some recorded iterate within cfg.xtol of the minimizer
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def lockstep_newton(loss, X, alphas, cfg):
     """run_newton(loss, ConstantSchedule(alphas[i]), X[i], cfg) for every row i.
 

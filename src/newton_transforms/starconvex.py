@@ -62,15 +62,16 @@ def star_value(base, x):
 # ----------------------------------------------------------------------------
 
 def _radial_integrals(radial):
-    """r -> [I(r), K(r)] with K(r) = integral_0^r [psi''(t) - psi'(t)/t] dt: a
-    prefix table over 20-node Gauss-Legendre panels (width 1/16 on [0, 1], then
-    doubling up to 2^996) plus one partial panel. Far out the integrands fall
-    to 0, or to NaN in K past 2^512, which no psi^{-1} value reaches."""
+    """r -> [I(r), K(r)] with K(r) = integral_0^r [psi''(t) - psi'(t)/t] dt, per
+    radius of r: a prefix table over 20-node Gauss-Legendre panels (width 1/16
+    on [0, 1], then doubling up to 2^996) plus one partial panel. Far out the
+    integrands fall to 0, or to NaN in K past 2^512, which no psi^{-1} reaches."""
     table = {}
 
     def panels(a, b):
-        # [I, K] over the panels [a, b]: scalar ends, or columns of them
-        t = a + (b - a) * table["nodes"]
+        # [I, K] over the panels [a, b]: scalar ends, or columns of them; nodes
+        # floored at the least subnormal make the empty panel of r = 0 sum to 0
+        t = np.maximum(a + (b - a) * table["nodes"], 5e-324)
         hw = (b - a) * table["weights"]
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             ratio = radial.psi_prime(t) / t
@@ -86,10 +87,9 @@ def _radial_integrals(radial):
             edges = table["edges"] = np.concatenate([np.arange(16) / 16.0, 2.0 ** np.arange(997)])
             cells = panels(edges[:-1, None], edges[1:, None]).cumsum(axis=1)
             table["prefix"] = np.concatenate([np.zeros((2, 1)), cells], axis=1)
-        if r == 0.0:
-            return np.zeros(2)
+        r = np.asarray(r, dtype=float)
         j = table["edges"].searchsorted(r, "right") - 1
-        return table["prefix"][:, j] + panels(table["edges"][j], r)
+        return table["prefix"][:, j] + panels(table["edges"][j, None], r[..., None])
 
     return integrals
 
@@ -143,11 +143,10 @@ def _star_transform_from_profile(radial, integrals):
         return f_star + r * integrals(r)[0]
 
     def phi_prime(cval):
-        # appendix form 1 + (psi^{-1})'(c) * I = 1 + I(r)/psi'(r)
+        # appendix form 1 + (psi^{-1})'(c) * I = 1 + I(r)/psi'(r), with its limit 2 at r = 0
         r = radial.psi_inverse(cval)
-        if r == 0.0:
-            return 2.0
-        return 1.0 + integrals(r)[0] / radial.psi_prime(r)
+        with np.errstate(invalid="ignore"):
+            return np.where(r == 0.0, 2.0, 1.0 + integrals(r)[0] / radial.psi_prime(r))[()]
 
     def phi_double_prime(cval):
         # d/dc of phi' = (psi^{-1})'' I + (psi^{-1})'/psi^{-1}
@@ -155,7 +154,8 @@ def _star_transform_from_profile(radial, integrals):
         # evaluated via I = psi' - K, which keeps the r -> 0 cancellation O(r^3)
         # instead of O(r); one factor psi' at a time, as psi'^3 underflows far out.
         # At c = 0 a tiny r approaches the limit -4b/(3a^2) smoothly.
-        r = radial.psi_inverse(cval) or 1e-8
+        r = radial.psi_inverse(cval)
+        r = np.where(r == 0.0, 1e-8, r)[()]
         p1 = radial.psi_prime(r)
         p2 = radial.psi_double_prime(r)
         num = p1 * (p1 - r * p2) + r * p2 * integrals(r)[1]
@@ -166,7 +166,8 @@ def _star_transform_from_profile(radial, integrals):
         phi=phi,
         phi_prime=phi_prime,
         phi_double_prime=phi_double_prime,
-        valid_interval=(0.0, radial.psi_sup),
+        # the domain also ends where psi^{-1} overflows: Cauchy's sqrt(expm1(c)) past log(DBL_MAX)
+        valid_interval=(0.0, float(min(radial.psi_sup, np.nextafter(np.log(np.finfo(float).max), np.inf)))),
         lo_closed=True,
     )
 

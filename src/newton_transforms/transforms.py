@@ -5,7 +5,8 @@ The scaling factor 1 + (phi''/phi') * ||grad f||_x*^2 is the exact ratio
 between the stepsize driving phi(f) and the stepsize driving f that produces
 identical Newton iterates (given grad f in Range(hess f)). Transforms carry a
 dedicated ratio() so factors stay computable even where phi itself overflows
-(e.g. exponential convexifiers with large rates).
+(e.g. exponential convexifiers with large rates). One formula per function
+serves a single f-value and a whole batch of them (see ScalarTransform).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, InputError, SingularScalingError
+from .errors import DomainError, InputError, SingularScalingError
 from .losses import RADIAL, SmoothLoss, spec_number, spec_options
 
 #: |scaling| at or below this is treated as singular (transformed Hessian
@@ -31,9 +32,10 @@ SCALING_QUALIFIED_TOL = 1e-6
 class ScalarTransform:
     """Monotone scalar map with derivatives and a validity interval.
 
-    phi_prime must be positive on valid_interval; evaluation outside raises
-    DomainError. lo_closed marks transforms evaluable at the left endpoint
-    (convexifiers anchored at f(x*)).
+    phi, phi_prime, phi_double_prime and ratio_fn take a float or an ndarray of
+    f-values and give the same bits either way, element for element: one NumPy
+    formula serves the scalar driver and every batch. phi_prime must be positive
+    on valid_interval; lo_closed admits its left end (convexifiers at f(x*)).
     """
 
     name: str
@@ -45,20 +47,28 @@ class ScalarTransform:
     ratio_fn: Optional[Callable[[float], float]] = None
 
     def contains(self, y):
+        """The domain rule, element by element: y is finite and inside valid_interval."""
         lo, hi = self.valid_interval
-        return (y >= lo if self.lo_closed else y > lo) and y < hi
+        return (abs(y) < np.inf) & ((y >= lo) if self.lo_closed else (y > lo)) & (y < hi)
 
     def require(self, y):
-        if not np.isfinite(y) or not self.contains(y):
+        """y, or DomainError when an f-value in it lies outside the domain."""
+        if not np.asarray(self.contains(y)).all():
             raise DomainError(f"transform '{self.name}' undefined at f-value {y}; valid interval {self.valid_interval}")
         return y
 
     def ratio(self, y):
-        """phi''(y) / phi'(y), the convexification rate r(y)."""
+        """phi''(y) / phi'(y), the convexification rate r(y); DomainError
+        when an f-value in y lies outside the domain."""
         self.require(y)
         if self.ratio_fn is not None:
-            return float(self.ratio_fn(y))
-        return float(self.phi_double_prime(y) / self.phi_prime(y))
+            return self.ratio_fn(y)
+        return self.phi_double_prime(y) / self.phi_prime(y)
+
+
+def constant(c):
+    """y -> c in the shape of y, exactly for every finite y (c + 0 * y)."""
+    return lambda y: c + 0.0 * y
 
 
 def linear(a, b=0.0):
@@ -67,9 +77,9 @@ def linear(a, b=0.0):
     return ScalarTransform(
         name=f"linear(a={a},b={b})",
         phi=lambda y: a * y + b,
-        phi_prime=lambda y: a,
-        phi_double_prime=lambda y: 0.0,
-        ratio_fn=lambda y: 0.0,
+        phi_prime=constant(a),
+        phi_double_prime=constant(0.0),
+        ratio_fn=constant(0.0),
     )
 
 
@@ -80,9 +90,9 @@ def polynomial(r):
         raise InputError("polynomial transform rejects the degenerate exponent r = 0")
     return ScalarTransform(
         name=f"poly(r={r})",
-        phi=lambda y: y**r,
-        phi_prime=lambda y: r * y ** (r - 1),
-        phi_double_prime=lambda y: r * (r - 1) * y ** (r - 2),
+        phi=lambda y: np.power(y, r),
+        phi_prime=lambda y: r * np.power(y, r - 1),
+        phi_double_prime=lambda y: r * (r - 1) * np.power(y, r - 2),
         valid_interval=(0.0, np.inf),
         ratio_fn=lambda y: (r - 1) / y,
     )
@@ -96,7 +106,7 @@ def exponential(a):
         phi=lambda y: np.exp(a * y),
         phi_prime=lambda y: a * np.exp(a * y),
         phi_double_prime=lambda y: a * a * np.exp(a * y),
-        ratio_fn=lambda y: a,
+        ratio_fn=constant(a),
     )
 
 
@@ -105,18 +115,15 @@ def logarithmic(a):
         name=f"log(a={a})",
         phi=lambda y: np.log(a + y),
         phi_prime=lambda y: 1.0 / (a + y),
-        phi_double_prime=lambda y: -1.0 / (a + y) ** 2,
+        phi_double_prime=lambda y: -1.0 / np.square(a + y),
         valid_interval=(-a, np.inf),
         ratio_fn=lambda y: -1.0 / (a + y),
     )
 
 
 def _sigma(y):
-    # numerically stable logistic
-    if y >= 0:
-        return 1.0 / (1.0 + np.exp(-y))
-    e = np.exp(y)
-    return e / (1.0 + e)
+    # numerically stable logistic: 1/(1 + e^-y) for y >= 0 and e^y/(1 + e^y) below, no exponent positive
+    return np.exp(np.minimum(y, 0.0)) / (1.0 + np.exp(-abs(y)))
 
 
 def sigmoid():
@@ -126,7 +133,7 @@ def sigmoid():
 
     return ScalarTransform(
         name="sigmoid",
-        phi=lambda y: _sigma(y),
+        phi=_sigma,
         phi_prime=prime,
         phi_double_prime=lambda y: prime(y) * (1.0 - 2.0 * _sigma(y)),
         ratio_fn=lambda y: 1.0 - 2.0 * _sigma(y),
@@ -159,22 +166,6 @@ class TransformedLoss(SmoothLoss):
     transform: ScalarTransform = None
 
 
-def per_row(fns, f, err):
-    """Columns (len(fns), N) of the scalar functions fns at f[i] of every row
-    not flagged in err, NaN on flagged rows. A row where one of them raises
-    DomainError or EvaluationError joins err, in place; later ones skip it."""
-    ys = f.tolist()
-    out = np.full((len(fns), len(ys)), np.nan)
-    for col, fn in zip(out, fns):
-        for i in np.flatnonzero(~err).tolist():
-            try:
-                col[i] = fn(ys[i])
-            except (DomainError, EvaluationError):
-                err[i] = True
-                out[:, i] = np.nan
-    return out
-
-
 def compose(base, t):
     """Compose a loss with a monotone transform."""
 
@@ -189,7 +180,10 @@ def compose(base, t):
 
     def ev_batch(X):
         f, G, H, err = base.evaluate_batch(X)
-        _, p1, p2, phi = per_row((t.require, t.phi_prime, t.phi_double_prime, t.phi), f, err)
+        err |= ~t.contains(f)
+        ok, y = ~err, f[~err]
+        phi, p1, p2 = np.full((3, len(f)), np.nan)
+        phi[ok], p1[ok], p2[ok] = t.phi(y), t.phi_prime(y), t.phi_double_prime(y)
         G = np.where(err[:, None], np.nan, G)
         return (phi, p1[:, None] * G,
                 p1[:, None, None] * H + p2[:, None, None] * (G[:, :, None] * G[:, None, :]), err)

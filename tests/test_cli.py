@@ -178,12 +178,36 @@ MALFORMED = [
 ]
 
 
+def _cli_process(tmp_path, argv):
+    """The CLI in a fresh interpreter where a RuntimeWarning is an error."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "newton_transforms.cli",
+                           "--out-dir", str(tmp_path), *argv.split()],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.mark.parametrize("argv", MALFORMED)
 def test_malformed_input_exit_2_without_traceback(argv, tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "newton_transforms.cli", "--out-dir", str(tmp_path), *argv.split()],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = _cli_process(tmp_path, argv)
     assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+#: Starts where the transform's powers overflow or underflow: Python-float
+#: arithmetic once raised OverflowError (ZeroDivisionError for the last) out
+#: of these, exiting 1 with a traceback.
+POWER_OVERFLOW = [
+    "run --loss polynorm:p=4 --transform poly:r=0.25 --x0=1e-60,1e-60",
+    "run --loss rosenbrock --transform log:a=1 --x0=1e50,0",
+    "scan-conv --loss rosenbrock --transform log:a=1 --grid=1e50:2e50:2x0:1:2",
+    "run --loss rosenbrock --transform log:a=1e-200 --x0=1,1",
+]
+
+
+@pytest.mark.parametrize("argv", POWER_OVERFLOW)
+def test_power_overflow_exits_without_traceback(argv, tmp_path):
+    proc = _cli_process(tmp_path, argv)
+    assert proc.returncode in (0, 2), proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -8,6 +8,7 @@ from newton_transforms.linalg import (
     pinv_solve,
     principal_minors,
     symmetrize,
+    symmetrize_batch,
 )
 from newton_transforms.losses import make_benchmark
 from newton_transforms.transforms import compose, make_table1
@@ -99,6 +100,7 @@ class TestDualNormSq:
         _, g, H = L.evaluate([1.5, -1.0])
         res = dual_norm_sq(H, g)  # RuntimeWarnings are errors in this suite
         assert res.grad_norm == np.inf and np.all(np.isfinite(res.direction)) and res.rank == 2
+        assert not res.in_range  # ||H p - g|| <= 1e-10 * inf would hold for any residual
         with np.errstate(over="ignore", invalid="ignore"):
             p = np.linalg.pinv(symmetrize(H)) @ g
         np.testing.assert_allclose(res.direction, p, rtol=1e-8)
@@ -151,3 +153,27 @@ def test_symmetrize_accepts_roundoff():
     M = np.array([[1.0, 1.0 + 1e-12], [1.0, 2.0]])
     S = symmetrize(M)
     np.testing.assert_allclose(S, S.T)
+
+
+def test_symmetrize_halves_before_adding_bit_for_bit():
+    # M/2 + M^T/2 against the (M + M^T)/2 it replaced: halving is exact away
+    # from the subnormal range. Past about 1e154 the squares in the asymmetry
+    # check overflow, with a warning that is not under test here.
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((2000, 3, 3))
+    M = (A + A.transpose(0, 2, 1)) * (1.0 + 1e-12 * rng.standard_normal((2000, 3, 3)))  # roundoff asymmetry
+    M *= 10.0 ** rng.uniform(-300.0, 300.0, (2000, 1, 1))
+    old = 0.5 * (M + M.transpose(0, 2, 1))
+    with np.errstate(over="ignore"):
+        assert all(symmetrize(m).tobytes() == o.tobytes() for m, o in zip(M, old))
+        assert symmetrize_batch(M).tobytes() == old.tobytes()
+
+
+def test_symmetrize_keeps_entries_near_the_float_maximum():
+    # (M + M^T)/2 overflowed here, and dual_norm_sq then saw an infinite
+    # matrix. The eigenvalue 1 falls below the 1e-10 relative cutoff, so the
+    # direction is the rank-1 pseudoinverse's.
+    M = np.array([[1e308, 0.0], [0.0, 1.0]])
+    assert symmetrize(M).tobytes() == M.tobytes()  # RuntimeWarnings are errors in this suite
+    res = dual_norm_sq(M, np.array([1.0, 1.0]))
+    assert res.rank == 1 and res.direction.tolist() == [1e-308, 0.0] and not res.in_range

@@ -84,7 +84,7 @@ def _point(draw, loss_spec):
         d = loss_from_spec(loss_spec).dimension
     except InputError:
         d = 2
-    coordinates = st.sampled_from(["0.8", "-1.2", "1", "0.1", "-0.9", "2.5", "0"])
+    coordinates = st.sampled_from(["0.8", "-1.2", "1", "0.1", "-0.9", "2.5", "0", "1e-60", "1e50", "-1e50"])
     return draw(mostly([",".join(draw(coordinates) for _ in range(d))], ["abc", "nan", "1e308,1e308", "", "1,2,3"]))
 
 

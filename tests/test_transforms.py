@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from newton_transforms.checks import check_loss, check_transform
-from newton_transforms.errors import DomainError, InputError, SingularScalingError
+from newton_transforms.convexify import exp_convexifier, nested_bound_convexifier
+from newton_transforms.errors import DomainError, EvaluationError, InputError, SingularScalingError
 from newton_transforms.losses import as_1d_loss, make_benchmark, make_radial
 from newton_transforms.transforms import (
     compose,
@@ -210,3 +211,64 @@ class TestSpecStrings:
     def test_unknown(self):
         with pytest.raises(InputError):
             transform_from_spec("fourier:n=3")
+
+
+# Every factory: the five Table-1 kinds, both exponential-convexifier forms,
+# the nested-bound convexifier and the three star transforms.
+ORACLE_TRANSFORMS = [
+    linear(2.0, 1.0), polynomial(0.5), polynomial(-1.75), polynomial(2.0), polynomial(3.0), exponential(0.5),
+    logarithmic(1.0), sigmoid(), exp_convexifier(0.0, 1.0), exp_convexifier(2.0, 1.0),
+    nested_bound_convexifier(lambda y: 1.0 / (1.0 + y), 0.0, 3.0),
+    transform_from_spec("star:geman_mcclure"), transform_from_spec("star:welsh"),
+    transform_from_spec("star:cauchy"),
+]
+
+
+def _oracle_values(t):
+    """NaN, +-inf, the interval ends and their neighbours, values from 1e-300
+    to 1e300 of both signs, f-values just around star:cauchy's psi^{-1}
+    overflow near log(DBL_MAX), and dense sweeps of [0, 1] and [-3, 720], where
+    a last-bit difference between two power routines would show."""
+    lo, hi = t.valid_interval
+    ends = [v for e in (lo, hi) for v in (e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf))]
+    mags = 10.0 ** np.arange(-300.0, 301.0, 20.0)
+    cut = np.log(np.finfo(float).max)
+    return np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, cut, np.nextafter(cut, np.inf), *ends, *mags, *-mags,
+                     *np.linspace(0.0, 1.0, 301), *np.linspace(-3.0, 720.0, 301)])
+
+
+@pytest.mark.parametrize("t", ORACLE_TRANSFORMS, ids=lambda t: t.name)
+def test_array_calls_equal_scalar_calls_bit_for_bit(t):
+    """One formula per transform: an array of f-values gives, element for
+    element, the bits of the scalar calls, and the domain mask is exactly
+    where the scalar path raises."""
+    ys = _oracle_values(t)
+    fns = (t.phi, t.phi_prime, t.phi_double_prime, t.ratio)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in the callers: overflow is recorded, not warned
+        raises = []
+        for y in ys.tolist():
+            try:
+                t.require(y)
+                [fn(y) for fn in fns]
+            except (DomainError, EvaluationError):
+                raises.append(True)
+            else:
+                raises.append(False)
+        inside = t.contains(ys)
+        assert inside.tolist() == [not r for r in raises]
+        y = ys[inside]
+        for fn in fns:
+            batch = fn(y)
+            assert batch.shape == y.shape
+            assert batch.tobytes() == np.array([fn(v) for v in y.tolist()], dtype=float).tobytes()
+    with pytest.raises(DomainError):
+        t.require(ys)
+
+
+def test_star_cauchy_domain_ends_where_psi_inverse_overflows():
+    t, radial = transform_from_spec("star:cauchy"), make_radial("cauchy")
+    top = t.valid_interval[1]
+    assert np.isfinite(radial.psi_inverse(np.nextafter(top, 0.0)))
+    with pytest.raises(EvaluationError):
+        radial.psi_inverse(top)
+    assert t.contains(np.nextafter(top, 0.0)) and not t.contains(top)
