@@ -25,6 +25,10 @@ from .errors import CapabilityError, InputError
 #: Relative asymmetry beyond which a matrix is rejected instead of symmetrized.
 ASYMMETRY_RTOL = 1e-8
 
+#: Entries below this square and sum without overflow; larger ones are
+#: compared for asymmetry on the matrix scaled by its largest |entry|.
+_SQUARE_SAFE = 1e150
+
 #: Relative cutoff below which a pseudoinverse solve treats an eigenvalue as zero.
 DEFAULT_PINV_RTOL = 1e-10
 
@@ -50,11 +54,15 @@ def symmetrize(M):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InputError(f"matrix must be square, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise InputError("matrix has non-finite entries")
-    D = (M - M.T).ravel(order="K")  # np.linalg.norm's own reduction, without its wrapper
+    big = np.abs(M).max(initial=0.0)
+    S = M
+    if not big < _SQUARE_SAFE:  # NaN, inf, or entries whose squares overflow
+        if not math.isfinite(big):
+            raise InputError("matrix has non-finite entries")
+        S = M / big
+    D, F = (S - S.T).ravel(order="K"), S.ravel(order="K")  # np.linalg.norm's own reduction, without its wrapper
     asym = math.sqrt(D.dot(D))
-    if asym > 0.0 and asym > ASYMMETRY_RTOL * np.linalg.norm(M):  # exact symmetry needs no scale
+    if asym > 0.0 and asym > ASYMMETRY_RTOL * math.sqrt(F.dot(F)):  # exact symmetry needs no scale
         raise InputError("matrix asymmetry exceeds 1e-8 relative; refusing to symmetrize")
     return 0.5 * M + 0.5 * M.T
 
@@ -90,12 +98,17 @@ def symmetrize_batch(M):
     M = np.asarray(M, dtype=float)
     if M.ndim != 3 or M.shape[1] != M.shape[2]:
         raise InputError(f"matrix stack must have shape (N, d, d), got {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise InputError("matrix has non-finite entries")
+    big = np.abs(M).max(initial=0.0)
+    S = M
+    if not big < _SQUARE_SAFE:  # as in symmetrize, row by row
+        if not math.isfinite(big):
+            raise InputError("matrix has non-finite entries")
+        rows = np.abs(M).max(axis=(1, 2))
+        S = M / np.where(rows < _SQUARE_SAFE, 1.0, rows)[:, None, None]
     n, d, _ = M.shape
     Mt = M.transpose(0, 2, 1)
-    scale = row_norm(M.reshape(n, d * d))  # an empty stack has no -1 extent
-    asym = row_norm((M - Mt).reshape(n, d * d))
+    scale = row_norm(S.reshape(n, d * d))  # an empty stack has no -1 extent
+    asym = row_norm((S - S.transpose(0, 2, 1)).reshape(n, d * d))
     if np.any((scale > 0) & (asym > ASYMMETRY_RTOL * scale)):
         raise InputError("matrix asymmetry exceeds 1e-8 relative; refusing to symmetrize")
     return 0.5 * M + 0.5 * Mt

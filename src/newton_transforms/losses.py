@@ -376,13 +376,16 @@ def as_1d_loss(radial):
 
     c = radial.center
 
+    def ev_batch(X):
+        t = X[:, 0] - c
+        r = np.abs(t)
+        grad = np.where(r == 0.0, 0.0, radial.psi_prime(r) * np.sign(t))
+        curv = np.full(r.shape, radial.psi_double_prime(r), dtype=float)  # a profile may give a constant
+        return radial.psi(r), grad[:, None], curv[:, None, None], np.zeros(len(X), dtype=bool)
+
     def ev(x):
-        t = x[0] - c
-        r = abs(t)
-        if r == 0.0:
-            return radial.psi(0.0), np.zeros(1), np.array([[radial.psi_double_prime(0.0)]])
-        sgn = 1.0 if t > 0 else -1.0
-        return radial.psi(r), np.array([radial.psi_prime(r) * sgn]), np.array([[radial.psi_double_prime(r)]])
+        f, G, H, _ = ev_batch(x[None])
+        return f[0], G[0], H[0]
 
     return SmoothLoss(
         name=f"{radial.name}1d",
@@ -390,6 +393,7 @@ def as_1d_loss(radial):
         _eval=ev,
         minimizer=np.array([c]),
         min_value=float(radial.psi(0.0)),
+        _eval_batch=ev_batch,
     )
 
 

@@ -141,6 +141,7 @@ class LockstepRuns(NamedTuple):
     final_value: np.ndarray  # last finite value of the driven loss
     grad_norm: np.ndarray  # last recorded ||g||: NaN when the run ended without an evaluation
     near_minimizer: np.ndarray  # some recorded iterate within cfg.xtol of the minimizer
+    final_x: np.ndarray  # the last recorded iterate (run_newton's trace.final_x), one row per run
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -151,13 +152,13 @@ def lockstep_newton(loss, X, alphas, cfg):
     evaluates them as one batch and retires rows by run_newton's rules, in its
     order: domain error, non-finite value, converged, iteration cap, diverged.
     """
-    n = len(X)
+    x = np.asarray(X, dtype=float)
+    n = len(x)
     runs = LockstepRuns(termination=np.full(n, MAX_ITERS, dtype=object), iterations=np.zeros(n, dtype=np.int32),
                         final_value=np.full(n, np.nan), grad_norm=np.full(n, np.nan),
-                        near_minimizer=np.zeros(n, dtype=bool))
+                        near_minimizer=np.zeros(n, dtype=bool), final_x=np.full(x.shape, np.nan))
     xstar = loss.minimizer
     live = np.arange(n)
-    x = np.asarray(X, dtype=float)
     a = np.asarray(alphas, dtype=float)
 
     def retire(rows, termination, k, points, gn=None):
@@ -166,6 +167,7 @@ def lockstep_newton(loss, X, alphas, cfg):
         cells = live[rows]
         runs.termination[cells] = termination
         runs.iterations[cells] = k
+        runs.final_x[cells] = points[rows]
         if gn is not None:
             runs.grad_norm[cells] = gn[rows]
         if xstar is not None:

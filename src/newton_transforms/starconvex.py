@@ -19,8 +19,9 @@ import numpy as np
 
 from .errors import EvaluationError, InputError
 from .losses import SmoothLoss, as_point, make_radial
-from .newton import CONVERGED, RADIUS_TOL, ConstantSchedule, NewtonConfig, run_newton
+from .newton import CONVERGED, RADIUS_TOL, NewtonConfig
 from .quadrature import adaptive_simpson
+from .scans import lockstep_newton
 from .transforms import ScalarTransform
 
 #: Curvature at or above -CURVATURE_TOL counts as nonnegative.
@@ -28,6 +29,12 @@ CURVATURE_TOL = 1e-10
 
 #: Multiples of bracket_hi probed before a radius is reported as +inf.
 PROBE_FACTORS = (10.0, 100.0, 1000.0)
+
+#: Rounds of a radius bisection.
+BISECT_ROUNDS = 50
+
+#: Rounds one batched predicate call decides: 2^6 - 1 = 63 midpoints per pass.
+BISECT_PASS_ROUNDS = 6
 
 
 # ----------------------------------------------------------------------------
@@ -94,12 +101,12 @@ def _radial_integrals(radial):
     return integrals
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _star_curvature(radial, r):
     """Psi''(r) = psi''(r) + psi'(r)/r of the star-transformed profile, with
-    its limit 2 psi''(0) at r = 0."""
-    if r == 0.0:
-        return 2.0 * radial.psi_double_prime(0.0)
-    return radial.psi_double_prime(r) + radial.psi_prime(r) / r
+    its limit 2 psi''(0) at r = 0; per element of r."""
+    return np.where(r == 0.0, 2.0 * radial.psi_double_prime(0.0),
+                    radial.psi_double_prime(r) + radial.psi_prime(r) / r)
 
 
 def radial_star_loss(radial):
@@ -115,15 +122,24 @@ def radial_star_loss(radial):
     c = radial.center
     integrals = _radial_integrals(radial)
 
-    def ev(x):
-        t = x[0] - c
-        r = abs(t)
+    @np.errstate(over="ignore", invalid="ignore")
+    def ev_batch(X):
+        t = X[:, 0] - c
+        r = np.abs(t)
         I = integrals(r)[0]
-        value = f_star + float(r) * float(I)  # as Python floats, overflow is inf without a warning
-        if value == np.inf:
-            raise EvaluationError(f"star({radial.name}) value overflows at r = {r}")
-        grad = (I + radial.psi_prime(r)) * np.sign(t)
-        return value, np.array([grad]), np.array([[_star_curvature(radial, r)]])
+        f = f_star + r * I
+        g = (I + radial.psi_prime(r)) * np.sign(t)
+        h = _star_curvature(radial, r)
+        err = f == np.inf
+        if err.any():
+            f, g, h = (np.where(err, np.nan, v) for v in (f, g, h))
+        return f, g[:, None], h[:, None, None], err
+
+    def ev(x):
+        f, G, H, err = ev_batch(x[None])
+        if err[0]:
+            raise EvaluationError(f"star({radial.name}) value overflows at r = {abs(x[0] - c)}")
+        return f[0], G[0], H[0]
 
     loss = SmoothLoss(
         name=f"star({radial.name})1d",
@@ -131,6 +147,7 @@ def radial_star_loss(radial):
         _eval=ev,
         minimizer=np.array([c]),
         min_value=f_star,
+        _eval_batch=ev_batch,
     )
     return loss, _star_transform_from_profile(radial, integrals)
 
@@ -191,7 +208,7 @@ def convexity_neighborhood(radial, M, grid_step=1e-3):
     if M <= 0:
         raise InputError("neighborhood radius must be positive")
     rs = np.arange(grid_step, M + 0.5 * grid_step, grid_step)
-    return not any(_star_curvature(radial, r) < -CURVATURE_TOL for r in (0.0, *rs))
+    return not np.any(_star_curvature(radial, np.concatenate([[0.0], rs])) < -CURVATURE_TOL)
 
 
 @dataclass
@@ -210,47 +227,83 @@ def _check_bracket(bracket_hi):
         raise InputError(f"bracket_hi must be positive and finite, got {bracket_hi}")
 
 
+@np.errstate(over="ignore")
 def _bisect(holds, lo, hi):
-    """Midpoint after 50 bisection rounds on [lo, hi], keeping holds(lo) true
-    and holds(hi) false."""
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
+    """Midpoint after BISECT_ROUNDS bisection rounds on [lo, hi], keeping
+    holds(lo) true and holds(hi) false.
+
+    holds maps an array of points to an array of truth values. A pass decides
+    BISECT_PASS_ROUNDS = k rounds with one call: it builds the 2^k - 1
+    midpoints those rounds could visit, by the serial loop's own
+    0.5 * (lo + hi), and walks the k rounds through the table of answers. The
+    result is that of 50 serial rounds bit for bit, whatever the predicate.
+    """
+    rounds = BISECT_ROUNDS
+    while rounds:
+        k = min(BISECT_PASS_ROUNDS, rounds)
+        los, his, levels = np.array([lo]), np.array([hi]), []
+        for _ in range(k):  # node i of the table has children 2i + 1 (fails) and 2i + 2 (holds)
+            mid = 0.5 * (los + his)
+            levels.append(mid)
+            los, his = np.stack([los, mid], 1).ravel(), np.stack([mid, his], 1).ravel()
+        mids = np.concatenate(levels)
+        table = holds(mids)
+        i = 0
+        for _ in range(k):
+            if table[i]:
+                lo, i = mids[i], 2 * i + 2
+            else:
+                hi, i = mids[i], 2 * i + 1
+        rounds -= k
     return 0.5 * (lo + hi)
 
 
-def _bisect_predicate(predicate, bracket_hi, min_probe=0.0):
-    """Largest x0 with predicate true, assuming monotone predicate; +inf when
+def _bisect_predicate(holds, bracket_hi, min_probe=0.0):
+    """Largest x0 with holds true, assuming a monotone predicate; +inf when
     the probes at bracket_hi * PROBE_FACTORS all pass. A predicate that only
-    holds below min_probe counts as failing everywhere (broken loss)."""
-    if predicate(bracket_hi):
+    holds below min_probe counts as failing everywhere (broken loss).
+
+    holds maps an array of starts to an array of truth values. The upward
+    probes are asked one at a time, in order, as a start past the first
+    failing probe (which may not even be finite) is never run; the downward
+    probes (halving from bracket_hi, at most 60) are asked in one call."""
+    def holds_at(x0):
+        return holds(np.array([x0]))[0]
+
+    if holds_at(bracket_hi):
         lo = bracket_hi
         for f in PROBE_FACTORS:
-            if not predicate(bracket_hi * f):
-                return _bisect(predicate, lo, bracket_hi * f)
+            if not holds_at(bracket_hi * f):
+                return _bisect(holds, lo, bracket_hi * f)
             lo = bracket_hi * f
         return np.inf
+    probes = []
     probe = bracket_hi
     for _ in range(60):
         probe *= 0.5
         if probe <= min_probe:
             break
-        if predicate(probe):
-            return _bisect(predicate, probe, bracket_hi)
+        probes.append(probe)
+    passed = holds(np.array(probes)) if probes else np.zeros(0, dtype=bool)
+    if passed.any():
+        return _bisect(holds, probes[int(passed.argmax())], bracket_hi)  # the largest passing probe
     raise InputError("predicate fails at arbitrarily small starts: broken loss")
 
 
 def convergence_radius(loss_1d, bracket_hi=8.0, cfg=None, verify_monotone=True):
     """Empirical basin radius of the unit-stepsize Newton method on a 1D loss.
 
-    Bisects (50 iterations) on x0 in (0, bracket_hi] with the predicate
+    Bisects (50 rounds) on x0 in (0, bracket_hi] with the predicate
     "run_newton(loss, constant(1), x* + x0) terminates converged within
     RADIUS_TOL of the known minimizer"; probes bracket_hi * {10, 100, 1000} before
     reporting +inf. Monotonicity of the predicate is verified post hoc on
     20 points per side.
+
+    The predicate runs as one scans.lockstep_newton batch per call, which
+    ends every row as run_newton would: a bisection pass decides 6 rounds
+    from one batch of 63 starts, the downward probes are one batch and the
+    monotonicity check another, and the radius equals that of 50 serial
+    rounds of single runs bit for bit.
 
     Note: this measures actual runs. For the convexity-neighborhood radius
     (what the transformed-loss theory bounds), see convexity_radius.
@@ -261,16 +314,17 @@ def convergence_radius(loss_1d, bracket_hi=8.0, cfg=None, verify_monotone=True):
     cfg = cfg or NewtonConfig()
     xstar = float(loss_1d.minimizer[0])
 
-    def predicate(r):
-        tr = run_newton(loss_1d, ConstantSchedule(1.0), np.array([xstar + r]), cfg)
-        return tr.termination == CONVERGED and abs(tr.final_x[0] - xstar) <= RADIUS_TOL
+    def converges(rs):
+        runs = lockstep_newton(loss_1d, (xstar + rs)[:, None], np.ones(len(rs)), cfg)
+        return (runs.termination == CONVERGED) & (np.abs(runs.final_x[:, 0] - xstar) <= RADIUS_TOL)
 
-    radius = _bisect_predicate(predicate, bracket_hi, min_probe=100.0 * cfg.xtol)
+    radius = _bisect_predicate(converges, bracket_hi, min_probe=100.0 * cfg.xtol)
     monotone = True
     if verify_monotone and np.isfinite(radius):
         below = np.linspace(radius * 0.02, radius * 0.98, 20)
         above = np.linspace(radius * 1.02, min(radius * 1.5, bracket_hi * 1000), 20)
-        monotone = all(predicate(r) for r in below) and not any(predicate(r) for r in above)
+        passed = converges(np.concatenate([below, above]))
+        monotone = bool(passed[:20].all() and not passed[20:].any())
     return RadiusResult(float(radius), monotone)
 
 
@@ -282,18 +336,41 @@ def convexity_radius(loss_1d, bracket_hi=8.0):
     (1/sqrt(3), 1/sqrt(2), 1 original; 1, 1, +inf transformed). The first
     sign change of the curvature is located on a 400-point scan and refined
     by bisection (50 rounds).
+
+    Each scan is one evaluate_batch, and the bisection decides 6 rounds per
+    batch of 63 midpoints; the radius equals that of the serial point-by-point
+    scan and 50 serial rounds bit for bit. A point the loss cannot evaluate
+    raises as loss.hessian does: in a scan when it comes before the first
+    negative point, in the bisection when it is among a pass's midpoints.
     """
     _check_bracket(bracket_hi)
     xstar = float(loss_1d.minimizer[0])
 
-    def curvature(r):
-        return loss_1d.hessian([xstar + r])[0, 0]
+    def negative(rs):
+        """curvature < -CURVATURE_TOL at x* + r per r, and the points the loss
+        cannot evaluate, where loss_1d.hessian raises."""
+        _, _, H, err = loss_1d.evaluate_batch((xstar + rs)[:, None])
+        return H[:, 0, 0] < -CURVATURE_TOL, err
+
+    def raise_at(r):
+        loss_1d.hessian([xstar + r])
 
     def first_negative(lo, hi):
-        for r in np.linspace(lo, hi, 400):
-            if curvature(r) < -CURVATURE_TOL:
-                return r
-        return None
+        rs = np.linspace(lo, hi, 400)
+        neg, err = negative(rs)
+        stop = neg | err
+        if not stop.any():
+            return None
+        i = int(stop.argmax())
+        if err[i]:
+            raise_at(rs[i])
+        return rs[i]
+
+    def nonnegative(rs):
+        neg, err = negative(rs)
+        if err.any():
+            raise_at(rs[int(err.argmax())])
+        return ~neg
 
     neg = first_negative(bracket_hi / 400, bracket_hi)
     if neg is None:
@@ -303,4 +380,4 @@ def convexity_radius(loss_1d, bracket_hi=8.0):
                 break
         if neg is None:
             return RadiusResult(np.inf)
-    return RadiusResult(float(_bisect(lambda r: not curvature(r) < -CURVATURE_TOL, 1e-12, neg)))
+    return RadiusResult(float(_bisect(nonnegative, 1e-12, neg)))

@@ -1,4 +1,4 @@
-"""Finite-difference validation of gradients and Hessians.
+"""Finite-difference validation of gradients and Hessians, a test helper.
 
 Central differences with step scaling 1 + ||x|| so relative accuracy holds
 across benchmark scales (Goldstein-Price values span 1e6).
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError
+from newton_transforms.errors import DomainError, EvaluationError
 
 
 def _central_differences(fn, x):

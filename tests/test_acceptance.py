@@ -17,7 +17,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from newton_transforms.checks import check_loss, check_transform
+from checks import check_loss, check_transform
 from newton_transforms.convexify import compact_constant, exp_convexifier, verify_convexified
 from newton_transforms.linalg import dual_norm_sq, pinv_solve, symmetrize
 from newton_transforms.losses import (

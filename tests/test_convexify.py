@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from newton_transforms.checks import check_transform
+from checks import check_transform
 from newton_transforms.convexify import (
     bordered_hessian,
     check_pseudoconvex,

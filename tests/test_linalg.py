@@ -157,16 +157,15 @@ def test_symmetrize_accepts_roundoff():
 
 def test_symmetrize_halves_before_adding_bit_for_bit():
     # M/2 + M^T/2 against the (M + M^T)/2 it replaced: halving is exact away
-    # from the subnormal range. Past about 1e154 the squares in the asymmetry
-    # check overflow, with a warning that is not under test here.
+    # from the subnormal range. Entries up to 1e300 check asymmetry without a
+    # warning (RuntimeWarnings are errors in this suite).
     rng = np.random.default_rng(5)
     A = rng.standard_normal((2000, 3, 3))
     M = (A + A.transpose(0, 2, 1)) * (1.0 + 1e-12 * rng.standard_normal((2000, 3, 3)))  # roundoff asymmetry
     M *= 10.0 ** rng.uniform(-300.0, 300.0, (2000, 1, 1))
     old = 0.5 * (M + M.transpose(0, 2, 1))
-    with np.errstate(over="ignore"):
-        assert all(symmetrize(m).tobytes() == o.tobytes() for m, o in zip(M, old))
-        assert symmetrize_batch(M).tobytes() == old.tobytes()
+    assert all(symmetrize(m).tobytes() == o.tobytes() for m, o in zip(M, old))
+    assert symmetrize_batch(M).tobytes() == old.tobytes()
 
 
 def test_symmetrize_keeps_entries_near_the_float_maximum():
@@ -177,3 +176,17 @@ def test_symmetrize_keeps_entries_near_the_float_maximum():
     assert symmetrize(M).tobytes() == M.tobytes()  # RuntimeWarnings are errors in this suite
     res = dual_norm_sq(M, np.array([1.0, 1.0]))
     assert res.rank == 1 and res.direction.tolist() == [1e-308, 0.0] and not res.in_range
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e300, 1.7e308])
+def test_symmetrize_rejects_asymmetry_whose_squares_overflow(scale):
+    # ||M|| and ||M - M^T|| both overflowed here, and inf > 1e-8 * inf let
+    # any matrix through; the check now runs on M / max|M|
+    M = scale * np.array([[1.0, 0.5], [0.0, 1.0]])
+    with pytest.raises(InputError, match="asymmetry"):
+        symmetrize(M)
+    with pytest.raises(InputError, match="asymmetry"):
+        symmetrize_batch(np.stack([np.eye(2), M]))
+    S = scale * np.array([[1.0, 0.5], [0.5 * (1.0 + 1e-12), 1.0]])  # roundoff asymmetry passes
+    assert symmetrize(S).tobytes() == (0.5 * S + 0.5 * S.T).tobytes()
+    assert symmetrize_batch(np.stack([np.eye(2), S]))[1].tobytes() == symmetrize(S).tobytes()

@@ -11,7 +11,7 @@ import pytest
 
 from newton_transforms.errors import DomainError, EvaluationError, InputError
 from newton_transforms.linalg import dual_norm_sq, norm_exceeds, symmetrize
-from newton_transforms.losses import (as_1d_loss, make_benchmark, make_counterexample, make_polynorm,
+from newton_transforms.losses import (SmoothLoss, as_1d_loss, make_benchmark, make_counterexample, make_polynorm,
                                      make_polytope_instance, make_radial)
 from newton_transforms.newton import CONVERGED, DOMAIN_ERROR, ConstantSchedule, NewtonConfig, run_newton
 from newton_transforms.scans import (
@@ -124,7 +124,8 @@ def test_star_transform_overflow_cells():
 
 
 def test_fallback_loss_without_batch_formula():
-    cauchy = as_1d_loss(make_radial("cauchy", center=0.3))
+    radial = as_1d_loss(make_radial("cauchy", center=0.3))
+    cauchy = SmoothLoss("cauchy1d-scalar", 1, radial._eval, minimizer=radial.minimizer)  # evaluate only
     assert cauchy._eval_batch is None
     _assert_convergence_matches(cauchy, None, (-2.9, 3.1, 31), None)
     _assert_convergence_matches(cauchy, make_table1("exponential", a=0.5), (-2.9, 3.1, 31), None)
@@ -145,6 +146,7 @@ def test_lockstep_terminations_match_run_newton():
         for i, x in enumerate(X):
             _, tr = _scalar_convergence(driven, x)
             assert (runs.termination[i], runs.iterations[i]) == (tr.termination, tr.iterations), i
+            assert runs.final_x[i].tobytes() == tr.final_x.tobytes(), i
             seen.add(tr.termination)
     assert seen == {"converged", "diverged", "max_iters", "domain_error"}
     _assert_convergence_matches(quadratic, make_table1("polynomial", r=1.0), (-1.0, 1.0, 4), (-0.7, 1.3, 4))
@@ -229,6 +231,7 @@ def test_lockstep_without_minimizer_converges_on_gtol():
         tr = run_newton(loss, ConstantSchedule(alpha), x0, cfg)
         assert (runs.termination[i], runs.iterations[i]) == (tr.termination, tr.iterations)
         assert _bits(runs.grad_norm[i]) == _bits(tr.grad_norms[-1])
+        assert runs.final_x[i].tobytes() == tr.final_x.tobytes()
     assert runs.termination[1] == CONVERGED and runs.grad_norm[1] <= cfg.gtol
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from newton_transforms.checks import check_loss
+from checks import check_loss
 from newton_transforms.errors import DomainError, EvaluationError, InputError
 from newton_transforms.losses import (
     as_1d_loss,
@@ -214,6 +214,34 @@ class TestRadial:
 
     def test_welsh_value_at_one(self):
         assert as_1d_loss(make_radial("welsh")).value([1.0]) == pytest.approx(1.0 - np.exp(-1.0))
+
+    @pytest.mark.parametrize("name", ["geman_mcclure", "welsh", "cauchy"])
+    @pytest.mark.parametrize("center", [0.0, -1.3])
+    def test_1d_batch_rows_equal_evaluate_bit_for_bit(self, name, center):
+        # rows on both sides of the centre, the centre itself (r = 0) and far
+        # radii; each also equals the per-point formula the batch form replaced
+        radial = make_radial(name, center=center)
+        loss = as_1d_loss(radial)
+        rng = np.random.default_rng(3)
+        t = np.concatenate([[0.0, 1e-300, -1e-300, 1e160, -1e300], rng.uniform(-6.0, 6.0, 60)])
+        X = (center + t)[:, None]
+        X[0, 0] = center
+        with np.errstate(over="ignore", invalid="ignore"):  # r * r overflows in psi at the far radii
+            f, G, H, err = loss.evaluate_batch(X)
+            rows = [loss.evaluate(x) for x in X]
+        assert not err.any()
+        for i, (x, got) in enumerate(zip(X, rows)):
+            r = abs(x[0] - center)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if r == 0.0:
+                    want = radial.psi(0.0), np.zeros(1), np.array([[radial.psi_double_prime(0.0)]])
+                else:
+                    sgn = 1.0 if x[0] > center else -1.0
+                    want = (radial.psi(r), np.array([radial.psi_prime(r) * sgn]),
+                            np.array([[radial.psi_double_prime(r)]]))
+            for row in ((f[i], G[i], H[i]), got):
+                assert [np.asarray(v, dtype=float).tobytes() for v in row] == \
+                    [np.asarray(v, dtype=float).tobytes() for v in want], (name, x)
 
 
 class TestCounterexample:

@@ -1,10 +1,11 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from newton_transforms.checks import check_loss, check_transform
+from checks import check_loss, check_transform
 from newton_transforms.errors import EvaluationError, InputError
 from newton_transforms.losses import (
     SmoothLoss,
@@ -15,6 +16,10 @@ from newton_transforms.losses import (
 from newton_transforms.newton import ConstantSchedule, NewtonConfig, run_newton
 from newton_transforms.quadrature import adaptive_simpson
 from newton_transforms.starconvex import (
+    BISECT_PASS_ROUNDS,
+    PROBE_FACTORS,
+    _bisect,
+    _bisect_predicate,
     _radial_integrals,
     convergence_radius,
     convexity_neighborhood,
@@ -198,6 +203,41 @@ class TestRadialIntegralTable:
         tr = run_newton(loss, ConstantSchedule(1.0), [1.7e308])
         assert (tr.termination, tr.iterations) == ("domain_error", 0)
 
+    @pytest.mark.parametrize("name", RADIALS)
+    @pytest.mark.parametrize("center", [0.0, 0.7])
+    def test_star_batch_rows_equal_evaluate_and_the_point_formula(self, name, center):
+        # both sides of the centre, r = 0 and far radii (f* + r I(r) overflows
+        # for cauchy); every row also equals the per-point formula the batch
+        # form replaced, which raised where the value overflowed
+        radial = make_radial(name, center=center)
+        loss, integrals = radial_star_loss(radial)[0], _radial_integrals(radial)
+        t = np.concatenate([[0.0, 1e-300, -1e-12, 1e300, 1.7e308, -1.7e308],
+                            np.random.default_rng(2).uniform(-5, 5, 60)])
+        X = (center + t)[:, None]
+        X[0, 0] = center
+        with np.errstate(over="ignore", invalid="ignore"):  # psi' squares the far radii
+            f, G, H, err = loss.evaluate_batch(X)
+        assert err.sum() == (2 if name == "cauchy" else 0)
+        for i, x in enumerate(X):
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = x[0] - center
+                r = abs(d)
+                I = integrals(r)[0]
+                value = radial.psi(0.0) + float(r) * float(I)
+                curv = 2.0 * radial.psi_double_prime(0.0) if r == 0.0 else \
+                    radial.psi_double_prime(r) + radial.psi_prime(r) / r
+                want = (value, np.array([(I + radial.psi_prime(r)) * np.sign(d)]), np.array([[curv]]))
+                if value == np.inf:
+                    assert err[i] and np.isnan([f[i], G[i, 0], H[i, 0, 0]]).all()
+                    with pytest.raises(EvaluationError):
+                        loss.evaluate(x)
+                    continue
+                got = loss.evaluate(x)
+            assert not err[i]
+            for row in ((f[i], G[i], H[i]), got):
+                assert [np.asarray(v, dtype=float).tobytes() for v in row] == \
+                    [np.asarray(v, dtype=float).tobytes() for v in want], (name, x)
+
 
 class TestConvexityNeighborhood:
     def test_cauchy_everywhere(self):
@@ -267,6 +307,121 @@ class TestRadii:
         loss = SmoothLoss("linear1d", 1, ev, minimizer=np.array([0.0]))
         with pytest.raises(InputError):
             convergence_radius(loss, bracket_hi=1.0)
+
+
+def _serial_bisect(holds, lo, hi):
+    """The 50-round point-by-point bisection the batched passes replace."""
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _serial_bisect_predicate(predicate, bracket_hi, min_probe=0.0):
+    """The point-by-point probe and bisection search the batched one replaces."""
+    if predicate(bracket_hi):
+        lo = bracket_hi
+        for f in PROBE_FACTORS:
+            if not predicate(bracket_hi * f):
+                return _serial_bisect(predicate, lo, bracket_hi * f)
+            lo = bracket_hi * f
+        return np.inf
+    probe = bracket_hi
+    for _ in range(60):
+        probe *= 0.5
+        if probe <= min_probe:
+            break
+        if predicate(probe):
+            return _serial_bisect(predicate, probe, bracket_hi)
+    raise InputError("predicate fails at arbitrarily small starts: broken loss")
+
+
+def _batched(predicate, calls=None):
+    """A point predicate asked for an array of points at once."""
+    def holds(xs):
+        if calls is not None:
+            calls.append(len(xs))
+        return np.array([predicate(x) for x in xs], dtype=bool)
+    return holds
+
+
+class TestBatchedBisection:
+    def test_monotone_predicates_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        for lo, hi in [(1e-12, 4.0), (0.5, 0.5000001), (3.0, 3000.0), (-2.0, 7.5)]:
+            # thresholds at random points, at the bracket ends and on visited midpoints
+            visited = _serial_bisect(lambda x: x < lo + 0.3 * (hi - lo), lo, hi)
+            cuts = list(rng.uniform(lo, hi, 30)) + [lo, hi, 0.5 * (lo + hi), visited]
+            for cut in cuts:
+                for pred in (lambda x: x <= cut, lambda x: x < cut):
+                    calls = []
+                    got = _bisect(_batched(pred, calls), lo, hi)
+                    assert np.float64(got).tobytes() == np.float64(_serial_bisect(pred, lo, hi)).tobytes()
+                    assert calls == [2 ** BISECT_PASS_ROUNDS - 1] * (50 // BISECT_PASS_ROUNDS) + \
+                        [2 ** (50 % BISECT_PASS_ROUNDS) - 1]
+
+    def test_predicates_with_holes_bit_for_bit(self):
+        preds = [lambda x: math.sin(1e3 * x) > 0.0, lambda x: int(x * 1e9) % 3 != 0,
+                 lambda x: hash(float(x)) % 7 < 4, lambda x: False, lambda x: True]
+        for lo, hi in [(1e-12, 4.0), (0.25, 0.75), (-1.0, 1e6)]:
+            for pred in preds:
+                assert np.float64(_bisect(_batched(pred), lo, hi)).tobytes() == \
+                    np.float64(_serial_bisect(pred, lo, hi)).tobytes()
+
+    def test_probe_paths_bit_for_bit(self):
+        # +inf (every probe passes), upward probes, downward probes, and a
+        # predicate that holds only below min_probe (broken loss)
+        for bracket_hi in (1.0, 4.0, 1e3):
+            for cut in (np.inf, 5000.0 * bracket_hi, 50.0 * bracket_hi, 3.0 * bracket_hi, 0.3 * bracket_hi,
+                        1e-6 * bracket_hi):
+                pred = lambda x: x <= cut
+                assert np.float64(_bisect_predicate(_batched(pred), bracket_hi)).tobytes() == \
+                    np.float64(_serial_bisect_predicate(pred, bracket_hi)).tobytes()
+            pred = lambda x: x <= 1e-9
+            for probe_floor in (1e-8, 1e-6 * bracket_hi):
+                with pytest.raises(InputError, match="broken loss"):
+                    _bisect_predicate(_batched(pred), bracket_hi, min_probe=probe_floor)
+                with pytest.raises(InputError, match="broken loss"):
+                    _serial_bisect_predicate(pred, bracket_hi, min_probe=probe_floor)
+
+    @pytest.mark.parametrize("name", RADIALS)
+    def test_radii_equal_the_serial_searches(self, name):
+        # convergence_radius with run_newton per start, as before lockstep
+        cfg = NewtonConfig(max_iters=30)
+        radial = make_radial(name, center=0.4)
+        for loss in (as_1d_loss(radial), radial_star_loss(radial)[0]):
+            def converges(r, loss=loss):
+                tr = run_newton(loss, ConstantSchedule(1.0), np.array([0.4 + r]), cfg)
+                return tr.termination == "converged" and abs(tr.final_x[0] - 0.4) <= 1e-6
+
+            want = _serial_bisect_predicate(converges, 4.0, min_probe=100.0 * cfg.xtol)
+            res = convergence_radius(loss, bracket_hi=4.0, cfg=cfg)
+            assert np.float64(res.radius).tobytes() == np.float64(want).tobytes()
+            below = np.linspace(want * 0.02, want * 0.98, 20)
+            above = np.linspace(want * 1.02, min(want * 1.5, 4000.0), 20)
+            assert res.monotone == (all(map(converges, below)) and not any(map(converges, above)))
+
+    def test_convexity_radius_raises_where_the_serial_scan_did(self):
+        # curvature 1 - x (negative beyond 1) and a loss that cannot be
+        # evaluated on a band: before the first negative point the scan raises
+        # there, after it the band is never reached
+        def curved(band):
+            def ev(x):
+                if band[0] <= x[0] <= band[1]:
+                    raise EvaluationError(f"no value at {x[0]}")
+                return 0.5 * x[0] ** 2 - x[0] ** 3 / 6.0, np.array([x[0] - 0.5 * x[0] ** 2]), np.array([[1.0 - x[0]]])
+            return SmoothLoss("curved", 1, ev, minimizer=np.array([0.0]))
+
+        scan = np.linspace(0.01, 4.0, 400)
+        with pytest.raises(EvaluationError, match=re.escape(f"no value at {scan[48]}")):  # first point past 0.485
+            convexity_radius(curved((0.485, 0.51)), bracket_hi=4.0)
+        assert convexity_radius(curved((3.0, 3.5)), bracket_hi=4.0).radius == pytest.approx(1.0, abs=1e-9)
+        probe = np.linspace(0.5, 5.0, 400)  # the first upward probe scan
+        with pytest.raises(EvaluationError, match=re.escape(f"no value at {probe[probe >= 0.8][0]}")):
+            convexity_radius(curved((0.8, 0.85)), bracket_hi=0.5)
 
 
 def test_make_star_transform_names():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from newton_transforms.checks import check_loss, check_transform
+from checks import check_loss, check_transform
 from newton_transforms.convexify import exp_convexifier, nested_bound_convexifier
 from newton_transforms.errors import DomainError, EvaluationError, InputError, SingularScalingError
 from newton_transforms.losses import as_1d_loss, make_benchmark, make_radial
