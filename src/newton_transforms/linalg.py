@@ -116,8 +116,13 @@ def symmetrize_batch(M):
 
 def pinv_solve_batch(H, G):
     """pinv_solve() for every row: H (N, d, d), G (N, d) -> P (N, d)."""
-    H, G = _check_pinv_args(H, G, stacked=True)
-    w, V = np.linalg.eigh(H)
+    return eigh_solve_batch(*_check_pinv_args(H, G, stacked=True))
+
+
+def eigh_solve_batch(S, G):
+    """The solve of pinv_solve_batch without its checks: S a symmetrize_batch
+    result, G finite gradients of shape S.shape[:-1]."""
+    w, V = np.linalg.eigh(S)
     wmax = np.max(np.abs(w), axis=1)
     keep = (np.abs(w) >= DEFAULT_PINV_RTOL * wmax[:, None]) & (wmax > 0.0)[:, None]
     inv = np.zeros_like(w)

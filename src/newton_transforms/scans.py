@@ -20,7 +20,8 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, EvaluationError, InputError
-from .linalg import norm_exceeds, pinv_solve, pinv_solve_batch, row_dot, row_norm, symmetrize
+from .linalg import (eigh_solve_batch, norm_exceeds, pinv_solve, pinv_solve_batch, row_dot, row_norm, symmetrize,
+                     symmetrize_batch)
 from .losses import as_point
 from .newton import CONVERGED, DIVERGED, DOMAIN_ERROR, MAX_ITERS, RADIUS_TOL, NewtonConfig
 from .transforms import SCALING_QUALIFIED_TOL, SCALING_ZERO_TOL, compose
@@ -151,6 +152,11 @@ def lockstep_newton(loss, X, alphas, cfg):
     All live rows advance together, each with its own stepsize: each step
     evaluates them as one batch and retires rows by run_newton's rules, in its
     order: domain error, non-finite value, converged, iteration cap, diverged.
+    After the divergence test, a row whose step left it where it was, bit for
+    bit (-0.0 is not 0.0), is at a fixed point: evaluate_batch is a pure
+    function of each row and the row's stepsize is fixed, so every later step
+    would repeat this one. Such a row retires at once, as run_newton would
+    end it at the cap.
     """
     x = np.asarray(X, dtype=float)
     n = len(x)
@@ -161,7 +167,10 @@ def lockstep_newton(loss, X, alphas, cfg):
     live = np.arange(n)
     a = np.asarray(alphas, dtype=float)
 
-    def retire(rows, termination, k, points, gn=None):
+    def near_of(points):  # rows within cfg.xtol of the minimizer; none without one
+        return np.zeros(len(points), dtype=bool) if xstar is None else ~norm_exceeds(points - xstar, cfg.xtol)
+
+    def retire(rows, termination, k, points, gn=None, near=None):
         if not rows.any():
             return
         cells = live[rows]
@@ -170,33 +179,39 @@ def lockstep_newton(loss, X, alphas, cfg):
         runs.final_x[cells] = points[rows]
         if gn is not None:
             runs.grad_norm[cells] = gn[rows]
-        if xstar is not None:
-            runs.near_minimizer[cells] = ~norm_exceeds(points[rows] - xstar, cfg.xtol)
+        runs.near_minimizer[cells] = (near_of(points) if near is None else near)[rows]
 
     for k in range(cfg.max_iters + 1):
         f, G, H, err = loss.evaluate_batch(x)
         finite = np.isfinite(f) & np.all(np.isfinite(G), axis=1) & np.all(np.isfinite(H), axis=(1, 2))
-        retire(err, DOMAIN_ERROR, k, x)
-        retire(~err & ~finite, DIVERGED, k, x)
         ok = ~err & finite
-        live, x, a, f, G, H = live[ok], x[ok], a[ok], f[ok], G[ok], H[ok]
+        if not ok.all():
+            retire(err, DOMAIN_ERROR, k, x)
+            retire(~err & ~finite, DIVERGED, k, x)
+            live, x, a, f, G, H = live[ok], x[ok], a[ok], f[ok], G[ok], H[ok]
         if not live.size:
             break
         runs.final_value[live] = f
-        P = pinv_solve_batch(H, G)
+        P = eigh_solve_batch(symmetrize_batch(H), G)  # G and H passed the finiteness test above
         gn = row_norm(G)
-        converged = gn <= cfg.gtol
-        if xstar is not None:
-            converged |= ~norm_exceeds(x - xstar, cfg.xtol)
-        retire(converged, CONVERGED, k, x, gn)
+        near = near_of(x)
+        converged = (gn <= cfg.gtol) | near
+        retire(converged, CONVERGED, k, x, gn, near)
         if k == cfg.max_iters:
-            retire(~converged, MAX_ITERS, k, x, gn)
+            retire(~converged, MAX_ITERS, k, x, gn, near)
             break
-        step = ~converged
-        live, a, x = live[step], a[step], x[step] - a[step, None] * P[step]  # run_newton's x - alpha * p
-        diverged = ~np.all(np.isfinite(x), axis=1) | norm_exceeds(x, cfg.divergence_radius)
-        retire(diverged, DIVERGED, k + 1, x)
-        live, a, x = live[~diverged], a[~diverged], x[~diverged]
+        if converged.any():
+            step = ~converged
+            live, a, x, P, gn, near = live[step], a[step], x[step], P[step], gn[step], near[step]
+        x_new = x - a[:, None] * P  # run_newton's x - alpha * p
+        diverged = ~np.all(np.isfinite(x_new), axis=1) | norm_exceeds(x_new, cfg.divergence_radius)
+        retire(diverged, DIVERGED, k + 1, x_new)
+        # int64 views: -0.0 and 0.0 differ, as they may for the loss
+        fixed = ~diverged & np.all(x_new.view(np.int64) == x.view(np.int64), axis=1)
+        retire(fixed, MAX_ITERS, cfg.max_iters, x, gn, near)
+        x, keep = x_new, ~(diverged | fixed)
+        if not keep.all():
+            live, a, x = live[keep], a[keep], x[keep]
         if not live.size:
             break
     return runs

@@ -69,23 +69,30 @@ def star_value(base, x):
 # ----------------------------------------------------------------------------
 
 def _radial_integrals(radial):
-    """r -> [I(r), K(r)] with K(r) = integral_0^r [psi''(t) - psi'(t)/t] dt, per
-    radius of r: a prefix table over 20-node Gauss-Legendre panels (width 1/16
-    on [0, 1], then doubling up to 2^996) plus one partial panel. Far out the
-    integrands fall to 0, or to NaN in K past 2^512, which no psi^{-1} reaches."""
+    """(r -> I(r), r -> [I(r), K(r)]) with K(r) = integral_0^r [psi''(t) -
+    psi'(t)/t] dt, per radius of r: a prefix table over 20-node Gauss-Legendre
+    panels (width 1/16 on [0, 1], then doubling up to 2^996), built on first
+    use, plus one partial panel. The first function skips K's partial panel
+    and equals the second's I bit for bit. Far out the integrands fall to 0,
+    or to NaN in K past 2^512, which no psi^{-1} reaches."""
     table = {}
 
-    def panels(a, b):
-        # [I, K] over the panels [a, b]: scalar ends, or columns of them; nodes
-        # floored at the least subnormal make the empty panel of r = 0 sum to 0
+    def ratio(a, b):
+        # psi'(t)/t at the nodes t of the panels [a, b] (scalar ends, or columns of
+        # them), with t and the node weights; nodes floored at the least subnormal
+        # make the empty panel of r = 0 sum to 0
         t = np.maximum(a + (b - a) * table["nodes"], 5e-324)
-        hw = (b - a) * table["weights"]
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            ratio = radial.psi_prime(t) / t
-            excess = radial.psi_double_prime(t) - ratio
-        return np.array([(ratio * hw).sum(-1), (excess * hw).sum(-1)])
+            return t, radial.psi_prime(t) / t, (b - a) * table["weights"]
 
-    def integrals(r):
+    def panels(a, b):
+        # [I, K] over the panels [a, b]
+        t, q, hw = ratio(a, b)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            excess = radial.psi_double_prime(t) - q
+        return np.array([(q * hw).sum(-1), (excess * hw).sum(-1)])
+
+    def locate(r):
         if not table:
             k = np.arange(1.0, 20)
             beta = k / np.sqrt(4.0 * k * k - 1.0)  # Golub-Welsch: the Legendre Jacobi matrix
@@ -95,10 +102,18 @@ def _radial_integrals(radial):
             cells = panels(edges[:-1, None], edges[1:, None]).cumsum(axis=1)
             table["prefix"] = np.concatenate([np.zeros((2, 1)), cells], axis=1)
         r = np.asarray(r, dtype=float)
-        j = table["edges"].searchsorted(r, "right") - 1
+        return r, table["edges"].searchsorted(r, "right") - 1
+
+    def integral(r):
+        r, j = locate(r)
+        _, q, hw = ratio(table["edges"][j, None], r[..., None])
+        return table["prefix"][0, j] + (q * hw).sum(-1)
+
+    def integrals(r):
+        r, j = locate(r)
         return table["prefix"][:, j] + panels(table["edges"][j, None], r[..., None])
 
-    return integrals
+    return integral, integrals
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -120,17 +135,17 @@ def radial_star_loss(radial):
         raise InputError("radial star transform needs psi'(0) = 0")
     f_star = float(radial.psi(0.0))
     c = radial.center
-    integrals = _radial_integrals(radial)
+    integral, integrals = _radial_integrals(radial)
 
     @np.errstate(over="ignore", invalid="ignore")
     def ev_batch(X):
         t = X[:, 0] - c
         r = np.abs(t)
-        I = integrals(r)[0]
+        I = integral(r)
         f = f_star + r * I
         g = (I + radial.psi_prime(r)) * np.sign(t)
         h = _star_curvature(radial, r)
-        err = f == np.inf
+        err = ~(f < np.inf)  # overflow, or the NaN of I(r) where psi' overflows (welsh, geman_mcclure)
         if err.any():
             f, g, h = (np.where(err, np.nan, v) for v in (f, g, h))
         return f, g[:, None], h[:, None, None], err
@@ -138,7 +153,7 @@ def radial_star_loss(radial):
     def ev(x):
         f, G, H, err = ev_batch(x[None])
         if err[0]:
-            raise EvaluationError(f"star({radial.name}) value overflows at r = {abs(x[0] - c)}")
+            raise EvaluationError(f"star({radial.name}) value is not finite at r = {abs(x[0] - c)}")
         return f[0], G[0], H[0]
 
     loss = SmoothLoss(
@@ -192,7 +207,7 @@ def _star_transform_from_profile(radial, integrals):
 def make_star_transform(name):
     """Table-2 star transform by radial-loss name (geman_mcclure/welsh/cauchy)."""
     radial = make_radial(name)
-    return _star_transform_from_profile(radial, _radial_integrals(radial))
+    return _star_transform_from_profile(radial, _radial_integrals(radial)[1])
 
 
 # ----------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from newton_transforms.linalg import dual_norm_sq, norm_exceeds, symmetrize
 from newton_transforms.losses import (SmoothLoss, as_1d_loss, make_benchmark, make_counterexample, make_polynorm,
                                      make_polytope_instance, make_radial)
 from newton_transforms.newton import CONVERGED, DOMAIN_ERROR, ConstantSchedule, NewtonConfig, run_newton
+from newton_transforms.starconvex import radial_star_loss
 from newton_transforms.scans import (
     best_fixed_stepsize,
     grid_axes,
@@ -150,6 +151,54 @@ def test_lockstep_terminations_match_run_newton():
             seen.add(tr.termination)
     assert seen == {"converged", "diverged", "max_iters", "domain_error"}
     _assert_convergence_matches(quadratic, make_table1("polynomial", r=1.0), (-1.0, 1.0, 4), (-0.7, 1.3, 4))
+
+
+def _star_runs_reference(loss, X, cfg):
+    """LockstepRuns of per-row run_newton traces, field by field, as bytes."""
+    rows = []
+    for x in X:
+        tr = run_newton(loss, ConstantSchedule(1.0), x, cfg)
+        finite = [v for v in tr.values if np.isfinite(v)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            near = any(not norm_exceeds(xk - loss.minimizer, cfg.xtol) for xk in tr.xs)
+        rows.append((tr.termination, tr.iterations, _bits(finite[-1] if finite else np.nan),
+                     _bits(tr.grad_norms[-1]), near, tr.final_x.tobytes()))
+    return rows
+
+
+@pytest.mark.parametrize("name", ["welsh", "geman_mcclure"])
+@pytest.mark.parametrize("center", [0.0, 0.7])
+def test_fixed_point_rows_retire_as_run_newton_ends_them(name, center):
+    # Welsh's rows at 4 and -4 step far out, where the star Hessian
+    # underflows: the step is 0 and the row stands still until the cap. At
+    # 2e6 the first step stands still too, outside the divergence radius:
+    # divergence wins. Geman-McClure's far rows diverge; 0.5 converges.
+    loss = radial_star_loss(make_radial(name, center=center))[0]
+    X = center + np.array([[4.0], [2e6], [0.5], [-4.0]])
+    cfg = NewtonConfig(max_iters=30)
+    runs = lockstep_newton(loss, X, np.ones(len(X)), cfg)
+    got = [(runs.termination[i], int(runs.iterations[i]), _bits(runs.final_value[i]), _bits(runs.grad_norm[i]),
+            bool(runs.near_minimizer[i]), runs.final_x[i].tobytes()) for i in range(len(X))]
+    want = _star_runs_reference(loss, X, cfg)
+    assert got == want
+    stalled = ("max_iters", 30) if name == "welsh" else ("diverged", 2)
+    assert [row[:2] for row in want] == [stalled, ("diverged", 1), ("converged", want[2][1]), stalled]
+
+
+def test_fixed_point_row_stops_its_batch():
+    # the one-row Welsh probe at 4 stands still after its first step: two
+    # evaluations decide it, where stepping on to the cap took 31
+    star = radial_star_loss(make_radial("welsh"))[0]
+    calls = []
+
+    def counted(X):
+        calls.append(len(X))
+        return star.evaluate_batch(X)
+
+    loss = SmoothLoss("counted-star", 1, star._eval, minimizer=star.minimizer, _eval_batch=counted)
+    runs = lockstep_newton(loss, [[4.0]], [1.0], NewtonConfig(max_iters=30))
+    assert (runs.termination[0], runs.iterations[0]) == ("max_iters", 30)
+    assert calls == [1, 1]
 
 
 def _sweep_reference(loss, x0, alphas, cfg):

@@ -173,7 +173,7 @@ class TestRadialStarLoss:
 class TestRadialIntegralTable:
     @pytest.mark.parametrize("name", RADIALS)
     def test_profile_integral_matches_closed_form(self, name):
-        integrals = _radial_integrals(make_radial(name))
+        integrals = _radial_integrals(make_radial(name))[1]
         for r in np.geomspace(1e-6, 1e20, 300):
             assert integrals(r)[0] == pytest.approx(closed_form_I(name, r), abs=1e-14)
 
@@ -192,9 +192,11 @@ class TestRadialIntegralTable:
             warnings.simplefilter("error", RuntimeWarning)
             assert np.isfinite(scaling_factor(transform_from_spec("star:cauchy"), 377.0, 1.0))
 
-    def test_star_loss_overflow_is_an_evaluation_error(self):
-        # f* + r I(r) overflows at r = 1.7e308 (I tends to pi for cauchy)
-        loss = radial_star_loss(make_radial("cauchy"))[0]
+    @pytest.mark.parametrize("name", RADIALS)
+    def test_star_loss_overflow_is_an_evaluation_error(self, name):
+        # at r = 1.7e308, f* + r I(r) overflows for cauchy (I tends to pi), and
+        # I(r) is NaN for geman_mcclure and welsh, whose psi' overflows
+        loss = radial_star_loss(make_radial(name))[0]
         with pytest.raises(EvaluationError):
             loss.evaluate([1.7e308])
         f, G, H, err = loss.evaluate_batch([[1.7e308], [1.0], [-1.7e308]])
@@ -206,18 +208,25 @@ class TestRadialIntegralTable:
     @pytest.mark.parametrize("name", RADIALS)
     @pytest.mark.parametrize("center", [0.0, 0.7])
     def test_star_batch_rows_equal_evaluate_and_the_point_formula(self, name, center):
-        # both sides of the centre, r = 0 and far radii (f* + r I(r) overflows
-        # for cauchy); every row also equals the per-point formula the batch
-        # form replaced, which raised where the value overflowed
+        # both sides of the centre, r = 0 and far radii (f* + r I(r) is not
+        # finite at 1.7e308); every row also equals the per-point formula the
+        # batch form replaced, which raised where the value was not finite
         radial = make_radial(name, center=center)
-        loss, integrals = radial_star_loss(radial)[0], _radial_integrals(radial)
+        loss, (integral, integrals) = radial_star_loss(radial)[0], _radial_integrals(radial)
+        # the batch reads I alone from the table: I(r) of [I(r), K(r)] bit for
+        # bit, at r = 0, at panel edges, far out and at random radii
+        rs = np.concatenate([[0.0, 1.0 / 16, 1.0, 1e300, 1.7e308], 2.0 ** np.arange(-4, 997, 7),
+                             np.random.default_rng(3).uniform(0, 50, 60)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert integral(rs).tobytes() == integrals(rs)[0].tobytes()
+            assert all(np.float64(integral(r)).tobytes() == np.float64(integrals(r)[0]).tobytes() for r in rs)
         t = np.concatenate([[0.0, 1e-300, -1e-12, 1e300, 1.7e308, -1.7e308],
                             np.random.default_rng(2).uniform(-5, 5, 60)])
         X = (center + t)[:, None]
         X[0, 0] = center
         with np.errstate(over="ignore", invalid="ignore"):  # psi' squares the far radii
             f, G, H, err = loss.evaluate_batch(X)
-        assert err.sum() == (2 if name == "cauchy" else 0)
+        assert err.sum() == 2
         for i, x in enumerate(X):
             with np.errstate(over="ignore", invalid="ignore"):
                 d = x[0] - center
@@ -227,7 +236,7 @@ class TestRadialIntegralTable:
                 curv = 2.0 * radial.psi_double_prime(0.0) if r == 0.0 else \
                     radial.psi_double_prime(r) + radial.psi_prime(r) / r
                 want = (value, np.array([(I + radial.psi_prime(r)) * np.sign(d)]), np.array([[curv]]))
-                if value == np.inf:
+                if not value < np.inf:
                     assert err[i] and np.isnan([f[i], G[i, 0], H[i, 0, 0]]).all()
                     with pytest.raises(EvaluationError):
                         loss.evaluate(x)
