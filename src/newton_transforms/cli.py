@@ -72,27 +72,30 @@ def _parse_grid(text):
 
 
 def _parse_range(text, what):
-    """'lo:hi:step' as three finite floats with step > 0 and hi >= lo."""
+    """'lo:hi:step', three finite floats with step > 0 and hi >= lo, as
+    (lo, hi, the points lo, lo + step, ... up to hi)."""
     try:
         lo, hi, step = (float(t) for t in text.split(":"))
     except ValueError:
         raise InputError(f"cannot parse {what} '{text}' (lo:hi:step)") from None
     if not (np.all(np.isfinite([lo, hi, step])) and step > 0 and hi >= lo):
         raise InputError(f"bad {what} '{text}'")
-    return lo, hi, step
+    try:
+        return lo, hi, np.arange(lo, hi + 0.5 * step, step)
+    except ValueError:  # NumPy refuses a point count beyond its maximum array size
+        raise InputError(f"{what} '{text}' has too many points") from None
 
 
 def _parse_step_grid(text):
     """'lo:hi:step' to a 1D array of points."""
-    lo, hi, step = _parse_range(text, "grid")
+    lo, hi, grid = _parse_range(text, "grid")
     if hi == lo:
         raise InputError(f"bad grid '{text}'")
-    return np.arange(lo, hi + 0.5 * step, step)
+    return grid
 
 
 def _parse_alphas(text):
-    lo, hi, step = _parse_range(text, "alphas")
-    return np.round(np.arange(lo, hi + 0.5 * step, step), 12)
+    return np.round(_parse_range(text, "alphas")[2], 12)
 
 
 def _out_path(args, name):

@@ -114,14 +114,9 @@ def symmetrize_batch(M):
     return 0.5 * M + 0.5 * Mt
 
 
-def pinv_solve_batch(H, G):
-    """pinv_solve() for every row: H (N, d, d), G (N, d) -> P (N, d)."""
-    return eigh_solve_batch(*_check_pinv_args(H, G, stacked=True))
-
-
 def eigh_solve_batch(S, G):
-    """The solve of pinv_solve_batch without its checks: S a symmetrize_batch
-    result, G finite gradients of shape S.shape[:-1]."""
+    """pinv_solve() for every row without its checks: S (N, d, d) a
+    symmetrize_batch result, G (N, d) finite gradients -> P (N, d)."""
     w, V = np.linalg.eigh(S)
     wmax = np.max(np.abs(w), axis=1)
     keep = (np.abs(w) >= DEFAULT_PINV_RTOL * wmax[:, None]) & (wmax > 0.0)[:, None]
@@ -131,16 +126,6 @@ def eigh_solve_batch(S, G):
     P = np.matmul(V, (inv * VtG)[:, :, None])[:, :, 0]
     P[wmax == 0.0] = 0.0
     return P
-
-
-def _check_pinv_args(H, g, stacked=False):
-    H = symmetrize_batch(H) if stacked else symmetrize(H)
-    g = np.asarray(g, dtype=float)
-    if g.shape != H.shape[:-1]:
-        raise InputError(f"gradient shape {g.shape} does not match matrix shape {H.shape}")
-    if not np.isfinite(g).all():
-        raise InputError("vector has non-finite entries")
-    return H, g
 
 
 def pinv_solve(H, g):
@@ -160,7 +145,12 @@ def dual_norm_sq(H, g):
     overflows). The value can be negative when H is indefinite. Overflow
     gives non-finite results without a NumPy warning.
     """
-    H, g = _check_pinv_args(H, g)
+    H = symmetrize(H)
+    g = np.asarray(g, dtype=float)
+    if g.shape != H.shape[:-1]:
+        raise InputError(f"gradient shape {g.shape} does not match matrix shape {H.shape}")
+    if not np.isfinite(g).all():
+        raise InputError("vector has non-finite entries")
     w, V = np.linalg.eigh(H)
     wmax = abs(w).max() if w.size else 0.0
     if wmax == 0.0:

@@ -39,6 +39,12 @@ class SmoothLoss:
     evaluate(x) returns (value, gradient, hessian); the Hessian is symmetric.
     evaluate_batch(X) does the same for every row of X. It uses _eval_batch
     where a loss has a vectorized formula and loops evaluate otherwise.
+
+    A vectorized loss is one formula on coordinate rows (a, b = x): x has
+    shape (d,) for one point, whose coordinates are float64 scalars, or
+    (d, N) for a stack. _batched(formula) is its _eval_batch. Integer powers
+    go through _pow, the scalar power of each element, so both paths agree
+    bit for bit.
     """
 
     name: str
@@ -118,117 +124,93 @@ class RadialLoss:
 # 2D benchmarks
 # ----------------------------------------------------------------------------
 
+def _pow(v, e):
+    """v**e per element, as the power of one float64 scalar: NumPy's
+    vectorized array power differs from it in the last bit."""
+    return v**e if v.ndim == 0 else np.array([vi**e for vi in v])
+
+
 def _rosenbrock(x):
     a, b = x
     r = b - a * a
-    f = (1.0 - a) ** 2 + 100.0 * r * r
+    f = _pow(1.0 - a, 2) + 100.0 * r * r
     g = np.array([-2.0 * (1.0 - a) - 400.0 * a * r, 200.0 * r])
-    H = np.array([[2.0 - 400.0 * b + 1200.0 * a * a, -400.0 * a], [-400.0 * a, 200.0]])
+    # 200 + 0 a: the constant entry in a's shape, exactly 200 for the finite a of a point
+    H = np.array([[2.0 - 400.0 * b + 1200.0 * a * a, -400.0 * a], [-400.0 * a, 200.0 + 0.0 * a]])
     return f, g, H
 
 
 def _beale(x):
     a, b = x
-    consts = (1.5, 2.25, 2.625)
-    f = 0.0
-    g = np.zeros(2)
-    H = np.zeros((2, 2))
-    for i, c in enumerate(consts, start=1):
-        t = c - a + a * b**i
-        dt = np.array([b**i - 1.0, i * a * b ** (i - 1)])
+    powers = [1.0, b, _pow(b, 2), _pow(b, 3)]
+    f = ga = gb = haa = hab = hbb = 0.0
+    for i, c in enumerate((1.5, 2.25, 2.625), start=1):
+        t = c - a + a * powers[i]
+        ta, tb = powers[i] - 1.0, i * a * powers[i - 1]
         # d2t/dx2 = 0, d2t/dxdy = i*y^(i-1), d2t/dy2 = i(i-1)*x*y^(i-2)
         # (the y^(i-2) factor carries a zero coefficient for i = 1; written
-        # out explicitly so y = 0 does not evaluate 0^(-1))
-        tyy = i * (i - 1) * a * b ** (i - 2) if i >= 2 else 0.0
-        ddt = np.array([[0.0, i * b ** (i - 1)], [i * b ** (i - 1), tyy]])
+        # out explicitly so y = 0 does not evaluate 0^(-1)); t * 0.0 keeps
+        # the NaN of an infinite t times the zero entry
+        tyy = i * (i - 1) * a * powers[i - 2] if i >= 2 else 0.0
         f += t * t
-        g += 2.0 * t * dt
-        H += 2.0 * (dt[:, None] * dt + t * ddt)
-    return f, g, H
-
-
-#: Goldstein-Price's directions u, w (s = u.x, v = w.x) and the outer products of its Hessian.
-_GP_U, _GP_W = np.array([1.0, 1.0]), np.array([2.0, -3.0])
-_GP_UU, _GP_UW, _GP_WW = np.outer(_GP_U, _GP_U), np.outer(_GP_U, _GP_W) + np.outer(_GP_W, _GP_U), np.outer(_GP_W, _GP_W)
+        ga += 2.0 * t * ta
+        gb += 2.0 * t * tb
+        haa += 2.0 * (ta * ta + t * 0.0)
+        hab += 2.0 * (ta * tb + t * (i * powers[i - 1]))
+        hbb += 2.0 * (tb * tb + t * tyy)
+    return f, np.array([ga, gb]), np.array([[haa, hab], [hab, hbb]])
 
 
 def _goldstein_price(x):
     # Both brackets collapse to quartics in s = x+y and v = 2x-3y:
     #   A(s) = 1 + (s+1)^2 (3s^2 - 14s + 19),  B(v) = 30 + v^2 (3v^2 - 16v + 18)
+    # so with u = (1, 1), w = (2, -3): g = A'B u + AB' w and
+    # H = A''B uu^T + A'B' (uw^T + wu^T) + AB'' ww^T, written out entry by entry
+    # (factors of +-1 are exact, so they become + and -).
     a, b = x
     s = a + b
     v = 2.0 * a - 3.0 * b
-    A = 3 * s**4 - 8 * s**3 - 6 * s**2 + 24 * s + 20
-    Ap = 12 * s**3 - 24 * s**2 - 12 * s + 24
-    App = 36 * s**2 - 48 * s - 12
-    B = 3 * v**4 - 16 * v**3 + 18 * v**2 + 30
-    Bp = 12 * v**3 - 48 * v**2 + 36 * v
-    Bpp = 36 * v**2 - 96 * v + 36
-    f = A * B
-    g = Ap * B * _GP_U + A * Bp * _GP_W
-    H = App * B * _GP_UU + Ap * Bp * _GP_UW + A * Bpp * _GP_WW
-    return f, g, H
-
-
-# Batch formulas: the scalar ones above, operation for operation, on columns.
-# Integer powers go through the scalar power of each element, because NumPy's
-# vectorized array power differs from it in the last bit.
-
-def _scalar_pow(v, e):
-    return np.array([vi**e for vi in v], dtype=float)
-
-
-def _beale_batch(X):
-    a, b = X[:, 0], X[:, 1]
-    n = len(X)
-    powers = [np.ones(n), b, _scalar_pow(b, 2), _scalar_pow(b, 3)]
-    f = 0.0
-    G = np.zeros((n, 2))
-    H = np.zeros((n, 2, 2))
-    for i, c in enumerate((1.5, 2.25, 2.625), start=1):
-        t = c - a + a * powers[i]
-        dt = np.stack([powers[i] - 1.0, i * a * powers[i - 1]], axis=1)
-        tyy = i * (i - 1) * a * powers[i - 2] if i >= 2 else np.zeros(n)
-        cross = i * powers[i - 1]
-        ddt = np.stack([np.stack([np.zeros(n), cross], axis=1), np.stack([cross, tyy], axis=1)], axis=1)
-        f += t * t
-        G += 2.0 * t[:, None] * dt
-        H += 2.0 * (dt[:, :, None] * dt[:, None, :] + t[:, None, None] * ddt)
-    return f, G, H, np.zeros(n, dtype=bool)
-
-
-def _goldstein_price_batch(X):
-    a, b = X[:, 0], X[:, 1]
-    s = a + b
-    v = 2.0 * a - 3.0 * b
-    s2, s3, s4 = (_scalar_pow(s, e) for e in (2, 3, 4))
-    v2, v3, v4 = (_scalar_pow(v, e) for e in (2, 3, 4))
+    s2, s3, s4 = (_pow(s, e) for e in (2, 3, 4))
+    v2, v3, v4 = (_pow(v, e) for e in (2, 3, 4))
     A = 3 * s4 - 8 * s3 - 6 * s2 + 24 * s + 20
     Ap = 12 * s3 - 24 * s2 - 12 * s + 24
     App = 36 * s2 - 48 * s - 12
     B = 3 * v4 - 16 * v3 + 18 * v2 + 30
     Bp = 12 * v3 - 48 * v2 + 36 * v
     Bpp = 36 * v2 - 96 * v + 36
-    G = (Ap * B)[:, None] * _GP_U + (A * Bp)[:, None] * _GP_W
-    H = (App * B)[:, None, None] * _GP_UU + (Ap * Bp)[:, None, None] * _GP_UW + (A * Bpp)[:, None, None] * _GP_WW
-    return A * B, G, H, np.zeros(len(X), dtype=bool)
+    p, q, r = App * B, Ap * Bp, A * Bpp
+    g = np.array([Ap * B + A * Bp * 2.0, Ap * B + A * Bp * -3.0])
+    hxy = p - q + r * -6.0
+    H = np.array([[p + q * 4.0 + r * 4.0, hxy], [hxy, p + q * -6.0 + r * 9.0]])
+    return A * B, g, H
+
+
+def _batched(fn):
+    """evaluate_batch from a formula on coordinate rows: fn(X.T), with the
+    batch axis of its gradients and Hessians moved to the front."""
+
+    def ev_batch(X):
+        f, g, H = fn(X.T)
+        return f, np.moveaxis(g, -1, 0).copy(), np.moveaxis(H, -1, 0).copy(), np.zeros(len(X), dtype=bool)
+
+    return ev_batch
 
 
 _BENCHMARKS = {
-    "rosenbrock": (_rosenbrock, None, (1.0, 1.0), 0.0),
-    "beale": (_beale, _beale_batch, (3.0, 0.5), 0.0),
-    "goldstein_price": (_goldstein_price, _goldstein_price_batch, (0.0, -1.0), 3.0),
+    "rosenbrock": (_rosenbrock, (1.0, 1.0), 0.0),
+    "beale": (_beale, (3.0, 0.5), 0.0),
+    "goldstein_price": (_goldstein_price, (0.0, -1.0), 3.0),
 }
 
 
 def make_benchmark(name):
     """2D benchmark loss with analytic gradient/Hessian and known minimizer."""
     try:
-        fn, batch_fn, xstar, fstar = _BENCHMARKS[name]
+        fn, xstar, fstar = _BENCHMARKS[name]
     except KeyError:
         raise InputError(f"unknown benchmark '{name}'; choose from {sorted(_BENCHMARKS)}") from None
     return SmoothLoss(name=name, dimension=2, _eval=fn, minimizer=np.array(xstar), min_value=fstar,
-                      _eval_batch=batch_fn)
+                      _eval_batch=_batched(fn))
 
 
 # ----------------------------------------------------------------------------
@@ -333,15 +315,13 @@ CAUCHY_FAR_RADIUS = 2.0 ** 500
 
 
 def _cauchy_far(near, far):
-    """near(r) below CAUCHY_FAR_RADIUS, far(r) from there on, for scalar or array r."""
+    """near(r) below CAUCHY_FAR_RADIUS, far(r) from there on, per element of r."""
 
     def fn(r):
-        if not isinstance(r, np.ndarray):
-            return far(r) if r >= CAUCHY_FAR_RADIUS else near(r)
-        if r.max(initial=0.0) < CAUCHY_FAR_RADIUS:
+        if np.asarray(r).max(initial=0.0) < CAUCHY_FAR_RADIUS:
             return near(r)
         return np.where(r < CAUCHY_FAR_RADIUS, near(np.minimum(r, CAUCHY_FAR_RADIUS)),
-                        far(np.maximum(r, CAUCHY_FAR_RADIUS)))  # neither form sees the other's radii
+                        far(np.maximum(r, CAUCHY_FAR_RADIUS)))[()]  # neither form sees the other's radii
 
     return fn
 
@@ -376,16 +356,12 @@ def as_1d_loss(radial):
 
     c = radial.center
 
-    def ev_batch(X):
-        t = X[:, 0] - c
+    def ev(x):
+        t = x[0] - c
         r = np.abs(t)
         grad = np.where(r == 0.0, 0.0, radial.psi_prime(r) * np.sign(t))
         curv = np.full(r.shape, radial.psi_double_prime(r), dtype=float)  # a profile may give a constant
-        return radial.psi(r), grad[:, None], curv[:, None, None], np.zeros(len(X), dtype=bool)
-
-    def ev(x):
-        f, G, H, _ = ev_batch(x[None])
-        return f[0], G[0], H[0]
+        return radial.psi(r), grad[None], curv[None, None]
 
     return SmoothLoss(
         name=f"{radial.name}1d",
@@ -393,7 +369,7 @@ def as_1d_loss(radial):
         _eval=ev,
         minimizer=np.array([c]),
         min_value=float(radial.psi(0.0)),
-        _eval_batch=ev_batch,
+        _eval_batch=_batched(ev),
     )
 
 

@@ -20,8 +20,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, EvaluationError, InputError
-from .linalg import (eigh_solve_batch, norm_exceeds, pinv_solve, pinv_solve_batch, row_dot, row_norm, symmetrize,
-                     symmetrize_batch)
+from .linalg import eigh_solve_batch, norm_exceeds, pinv_solve, row_dot, row_norm, symmetrize, symmetrize_batch
 from .losses import as_point
 from .newton import CONVERGED, DIVERGED, DOMAIN_ERROR, MAX_ITERS, RADIUS_TOL, NewtonConfig
 from .transforms import SCALING_QUALIFIED_TOL, SCALING_ZERO_TOL, compose
@@ -108,7 +107,7 @@ def scan_sign_flip(loss, t, x_range, y_range=None, cross_check_fraction=0.01, se
     error |= ~(t.contains(f) & np.all(np.isfinite(G), axis=1) & np.all(np.isfinite(H), axis=(1, 2)))
     ok = np.flatnonzero(~error)
     H, G = H[ok], G[ok]
-    P = pinv_solve_batch(H, G)
+    P = eigh_solve_batch(symmetrize_batch(H), G)  # G and H passed the finiteness test above
     dual = np.where(row_dot(G, G) == 0.0, 0.0, row_dot(G, P))  # dual_norm_sq
     s = 1.0 + t.ratio(f[ok]) * dual  # scaling_factor, row for row
     sign = np.zeros(n, dtype=np.int8)

@@ -164,21 +164,21 @@ def radial_star_loss(radial):
         min_value=f_star,
         _eval_batch=ev_batch,
     )
-    return loss, _star_transform_from_profile(radial, integrals)
+    return loss, _star_transform_from_profile(radial, integral, integrals)
 
 
-def _star_transform_from_profile(radial, integrals):
+def _star_transform_from_profile(radial, integral, integrals):
     f_star = float(radial.psi(0.0))
 
     def phi(cval):
         r = radial.psi_inverse(cval)
-        return f_star + r * integrals(r)[0]
+        return f_star + r * integral(r)
 
     def phi_prime(cval):
         # appendix form 1 + (psi^{-1})'(c) * I = 1 + I(r)/psi'(r), with its limit 2 at r = 0
         r = radial.psi_inverse(cval)
         with np.errstate(invalid="ignore"):
-            return np.where(r == 0.0, 2.0, 1.0 + integrals(r)[0] / radial.psi_prime(r))[()]
+            return np.where(r == 0.0, 2.0, 1.0 + integral(r) / radial.psi_prime(r))[()]
 
     def phi_double_prime(cval):
         # d/dc of phi' = (psi^{-1})'' I + (psi^{-1})'/psi^{-1}
@@ -207,7 +207,7 @@ def _star_transform_from_profile(radial, integrals):
 def make_star_transform(name):
     """Table-2 star transform by radial-loss name (geman_mcclure/welsh/cauchy)."""
     radial = make_radial(name)
-    return _star_transform_from_profile(radial, _radial_integrals(radial)[1])
+    return _star_transform_from_profile(radial, *_radial_integrals(radial))
 
 
 # ----------------------------------------------------------------------------

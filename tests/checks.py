@@ -1,4 +1,5 @@
-"""Finite-difference validation of gradients and Hessians, a test helper.
+"""Test helpers: finite-difference validation of gradients and Hessians,
+and reference formulas of the 2D benchmarks.
 
 Central differences with step scaling 1 + ||x|| so relative accuracy holds
 across benchmark scales (Goldstein-Price values span 1e6).
@@ -68,3 +69,64 @@ def check_transform(t, ys, rtol=1e-5):
         if abs(p2 - d2) > rtol * max(abs(p2), abs(d2), 1e-8):
             failures.append(f"{t.name}: phi'' mismatch at y={y}: {p2} vs FD {d2}")
     return failures
+
+
+# Reference formulas: the scalar 2D benchmarks as first written, one point at
+# a time with vector and matrix arithmetic. The loss zoo's row formulas must
+# equal them bit for bit.
+
+def reference_rosenbrock(x):
+    a, b = x
+    r = b - a * a
+    f = (1.0 - a) ** 2 + 100.0 * r * r
+    g = np.array([-2.0 * (1.0 - a) - 400.0 * a * r, 200.0 * r])
+    H = np.array([[2.0 - 400.0 * b + 1200.0 * a * a, -400.0 * a], [-400.0 * a, 200.0]])
+    return f, g, H
+
+
+def reference_beale(x):
+    a, b = x
+    consts = (1.5, 2.25, 2.625)
+    f = 0.0
+    g = np.zeros(2)
+    H = np.zeros((2, 2))
+    for i, c in enumerate(consts, start=1):
+        t = c - a + a * b**i
+        dt = np.array([b**i - 1.0, i * a * b ** (i - 1)])
+        # d2t/dx2 = 0, d2t/dxdy = i*y^(i-1), d2t/dy2 = i(i-1)*x*y^(i-2)
+        # (the y^(i-2) factor carries a zero coefficient for i = 1; written
+        # out explicitly so y = 0 does not evaluate 0^(-1))
+        tyy = i * (i - 1) * a * b ** (i - 2) if i >= 2 else 0.0
+        ddt = np.array([[0.0, i * b ** (i - 1)], [i * b ** (i - 1), tyy]])
+        f += t * t
+        g += 2.0 * t * dt
+        H += 2.0 * (dt[:, None] * dt + t * ddt)
+    return f, g, H
+
+
+#: Goldstein-Price's directions u, w (s = u.x, v = w.x) and the outer products of its Hessian.
+_GP_U, _GP_W = np.array([1.0, 1.0]), np.array([2.0, -3.0])
+_GP_UU, _GP_UW, _GP_WW = np.outer(_GP_U, _GP_U), np.outer(_GP_U, _GP_W) + np.outer(_GP_W, _GP_U), np.outer(_GP_W, _GP_W)
+
+
+def reference_goldstein_price(x):
+    # Both brackets collapse to quartics in s = x+y and v = 2x-3y:
+    #   A(s) = 1 + (s+1)^2 (3s^2 - 14s + 19),  B(v) = 30 + v^2 (3v^2 - 16v + 18)
+    a, b = x
+    s = a + b
+    v = 2.0 * a - 3.0 * b
+    A = 3 * s**4 - 8 * s**3 - 6 * s**2 + 24 * s + 20
+    Ap = 12 * s**3 - 24 * s**2 - 12 * s + 24
+    App = 36 * s**2 - 48 * s - 12
+    B = 3 * v**4 - 16 * v**3 + 18 * v**2 + 30
+    Bp = 12 * v**3 - 48 * v**2 + 36 * v
+    Bpp = 36 * v**2 - 96 * v + 36
+    f = A * B
+    g = Ap * B * _GP_U + A * Bp * _GP_W
+    H = App * B * _GP_UU + Ap * Bp * _GP_UW + A * Bpp * _GP_WW
+    return f, g, H
+
+
+#: The reference formula of each 2D benchmark by name.
+REFERENCE_BENCHMARKS = {"rosenbrock": reference_rosenbrock, "beale": reference_beale,
+                        "goldstein_price": reference_goldstein_price}

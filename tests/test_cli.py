@@ -174,6 +174,8 @@ MALFORMED = [
     "sweep-alpha --loss polytope:p=2 --alphas 1:2",
     "sweep-alpha --loss polytope:p=2 --alphas 1:2:0",
     "convexify --loss cauchy1d --x0 2 --grid 1:2",
+    "convexify --loss cauchy1d --x0 2 --grid 0:1:1e-300",
+    "sweep-alpha --loss polytope:p=2 --alphas 0.1:1:1e-300",
     "radius --loss cauchy1d --bracket=-1",
 ]
 

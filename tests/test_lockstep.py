@@ -292,10 +292,11 @@ def test_sweep_rejects_wrong_dimension_start():
         best_fixed_stepsize(make_polynorm(np.eye(2), 2), [1.0, 1.0, 1.0], [1.0])
 
 
-@pytest.mark.parametrize("loss", [make_benchmark("beale"), make_benchmark("goldstein_price"),
+@pytest.mark.parametrize("loss", [*map(make_benchmark, ("rosenbrock", "beale", "goldstein_price")),
                                   compose(make_benchmark("beale"), make_table1("polynomial", r=0.5)),
                                   compose(SHIFTED_BEALE, make_table1("logarithmic", a=1.0)),
-                                  as_1d_loss(make_radial("welsh"))], ids=lambda loss: loss.name)
+                                  as_1d_loss(make_radial("welsh")), as_1d_loss(make_radial("cauchy")),
+                                  as_1d_loss(make_radial("geman_mcclure"))], ids=lambda loss: loss.name)
 def test_evaluate_batch_matches_evaluate(loss):
     rng = np.random.default_rng(0)
     X = rng.uniform(-4.0, 4.0, (200, loss.dimension))

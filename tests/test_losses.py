@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from checks import check_loss
+from checks import REFERENCE_BENCHMARKS, check_loss
 from newton_transforms.errors import DomainError, EvaluationError, InputError
 from newton_transforms.losses import (
     as_1d_loss,
@@ -49,6 +49,25 @@ class TestBenchmarks:
     def test_finite_difference_consistency(self, name):
         loss = make_benchmark(name)
         assert check_loss(loss, sample_points(loss)) == []
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_BENCHMARKS))
+    def test_evaluate_and_batch_rows_equal_the_reference_formula(self, name):
+        # Points of both signs and zeros of both signs, out to |x| = 1e80
+        # where powers overflow to inf and inf - inf gives NaN.
+        rng = np.random.default_rng(3)
+        near = rng.uniform(-5.0, 5.0, (1000, 2))
+        far = rng.choice([-1.0, 1.0], (1500, 2)) * 10.0 ** rng.uniform(-20.0, 80.0, (1500, 2))
+        zeros = np.where(rng.uniform(size=(500, 2)) < 0.5, rng.choice([-0.0, 0.0], (500, 2)), far[:500])
+        X = np.concatenate([near, far, zeros])
+        loss, reference = make_benchmark(name), REFERENCE_BENCHMARKS[name]
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = loss.evaluate_batch(X)
+            assert not batch[3].any()
+            for i, x in enumerate(X):
+                want = [np.asarray(v, dtype=float).tobytes() for v in reference(x)]
+                assert [np.asarray(v, dtype=float).tobytes() for v in loss.evaluate(x)] == want, x
+                assert [v[i].tobytes() for v in batch[:3]] == want, x
+        assert np.signbit(X[X == 0.0]).any() and not np.isfinite(batch[0]).all()
 
 
 class TestPolynorm:
