@@ -19,7 +19,7 @@ import numpy as np
 from .convexify import compact_constant, exp_convexifier, strict_schaible_batch, verify_convexified
 from .errors import CapabilityError, DomainError, InputError, SingularScalingError
 from .linalg import symmetrize_batch
-from .losses import as_1d_loss, known_loss_names, loss_from_spec, radial_1d
+from .losses import as_1d_loss, known_loss_names, loss_from_spec, radial_1d, spec_number
 from .newton import (
     BacktrackingSchedule,
     ConstantSchedule,
@@ -117,10 +117,7 @@ def _schedule(spec, loss, t):
     else:
         if head not in ("const", "induced", "forwarded"):
             raise InputError(f"unknown schedule '{spec}' ({', '.join(SCHEDULES)})")
-        try:
-            alpha = float(rest or 1.0)
-        except ValueError:
-            raise InputError(f"schedule '{spec}' needs a numeric stepsize") from None
+        alpha = spec_number({"stepsize": rest or "1"}, "stepsize", None)
         if head == "const":
             schedule = ConstantSchedule(alpha)
         elif t is None:
@@ -157,9 +154,10 @@ def cmd_convexify(args):
         raise InputError("convexify report supports one-dimensional losses")
     grid = _parse_step_grid(args.grid).reshape(-1, 1)
     x0 = _parse_point(args.x0)
-    c = compact_constant(loss, x0, grid)
+    stack = loss.evaluate_batch(grid)
+    c = compact_constant(loss, x0, grid, stack)
     t = exp_convexifier(c, loss.min_value if loss.min_value is not None else 0.0)
-    f, G, H, skip = loss.evaluate_batch(grid)
+    f, G, H, skip = stack
     x, f, G, H = grid[~skip, 0], f[~skip], G[~skip], H[~skip]
     Hs, Hc = symmetrize_batch(H), symmetrize_batch(H + c * (G[:, :, None] * G[:, None, :]))
     cols = (x, f, strict_schaible_batch(G, Hs), np.linalg.eigvalsh(Hs)[:, 0], np.linalg.eigvalsh(Hc)[:, 0])
@@ -167,7 +165,7 @@ def cmd_convexify(args):
     rows += [",".join(format(v, ".17g") for v in (*row, c)) for row in zip(*cols)]
     path = _out_path(args, "convexify_report.csv")
     write_lines(path, rows)
-    rep = verify_convexified(loss, t, grid)
+    rep = verify_convexified(loss, t, grid, stack)
     print(f"c={c:.17g} min_eig_after={rep.min_eig:.17g} passed={rep.passed} -> {path}")
     return 0 if rep.passed else NUMERICAL_ERROR
 

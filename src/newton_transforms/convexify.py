@@ -138,11 +138,11 @@ def schaible_r(loss, x, mode="strict"):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def compact_constant(loss, x0, grid):
+def compact_constant(loss, x0, grid, stack=None):
     """c = max of the strict schaible_r over the points of grid (N, d) inside
-    the sublevel set f <= f(x0)."""
+    the sublevel set f <= f(x0). stack, when given, is loss.evaluate_batch(grid)."""
     f0 = loss.value(x0)
-    f, G, H, err = loss.evaluate_batch(grid)
+    f, G, H, err = loss.evaluate_batch(grid) if stack is None else stack
     inside = ~err & (f <= f0)
     if not inside.any():
         raise InputError("grid does not intersect the sublevel set of f(x0)")
@@ -232,14 +232,14 @@ class ConvexifiedReport:
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def verify_convexified(loss, t, grid):
+def verify_convexified(loss, t, grid, stack=None):
     """Minimum eigenvalue over the grid of the phi'-normalized transformed
     Hessian H + (phi''/phi') g g^T; also tracks its largest spectral norm for
     the pass threshold. Non-evaluable points of grid (N, d) are skipped and
-    counted."""
+    counted. stack, when given, is loss.evaluate_batch(grid)."""
     X = np.asarray(grid, dtype=float)
-    f, G, H, skip = loss.evaluate_batch(X)
-    skip |= ~t.contains(f)
+    f, G, H, err = loss.evaluate_batch(X) if stack is None else stack
+    skip = err | ~t.contains(f)
     keep = ~skip
     if not keep.any():
         raise InputError("no grid point was evaluable")

@@ -54,7 +54,7 @@ def symmetrize(M):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InputError(f"matrix must be square, got shape {M.shape}")
-    big = np.abs(M).max(initial=0.0)
+    big = abs(M).max(initial=0.0)
     S = M
     if not big < _SQUARE_SAFE:  # NaN, inf, or entries whose squares overflow
         if not math.isfinite(big):
@@ -86,7 +86,7 @@ def norm_exceeds(x, bound):
     NaN rows count as exceeding.
     """
     if x.ndim == 1:  # the per-iteration check of run_newton: keep it cheap
-        return bool(not np.abs(x).max() <= bound or np.sqrt(x.dot(x)) > bound)
+        return bool(not abs(x).max() <= bound or math.sqrt(x.dot(x)) > bound)
     m = np.max(np.abs(x), axis=-1)
     settled = ~(m <= bound)
     return settled | (row_norm(np.where(settled[..., None], 0.0, x)) > bound)
@@ -106,12 +106,11 @@ def symmetrize_batch(M):
         rows = np.abs(M).max(axis=(1, 2))
         S = M / np.where(rows < _SQUARE_SAFE, 1.0, rows)[:, None, None]
     n, d, _ = M.shape
-    Mt = M.transpose(0, 2, 1)
     scale = row_norm(S.reshape(n, d * d))  # an empty stack has no -1 extent
     asym = row_norm((S - S.transpose(0, 2, 1)).reshape(n, d * d))
     if np.any((scale > 0) & (asym > ASYMMETRY_RTOL * scale)):
         raise InputError("matrix asymmetry exceeds 1e-8 relative; refusing to symmetrize")
-    return 0.5 * M + 0.5 * Mt
+    return 0.5 * M + 0.5 * M.transpose(0, 2, 1)
 
 
 def eigh_solve_batch(S, G):
@@ -151,21 +150,27 @@ def dual_norm_sq(H, g):
         raise InputError(f"gradient shape {g.shape} does not match matrix shape {H.shape}")
     if not np.isfinite(g).all():
         raise InputError("vector has non-finite entries")
-    w, V = np.linalg.eigh(H)
-    wmax = abs(w).max() if w.size else 0.0
+    return DualNormResult(*eigh_solve(H, g))
+
+
+def eigh_solve(S, g):
+    """dual_norm_sq's fields without its checks or np.errstate: S a symmetrize()
+    result, g a finite gradient of matching shape -> (value, in_range, rank, p, ||g||)."""
+    w, V = np.linalg.eigh(S)
+    wmax = max(-w[0], w[-1]) if w.size else 0.0  # eigh sorts ascending
     if wmax == 0.0:
         p, rank = np.zeros_like(g), 0
     else:
         keep = abs(w) >= DEFAULT_PINV_RTOL * wmax
-        inv = np.zeros_like(w)
-        inv[keep] = 1.0 / w[keep]
-        p, rank = V @ (inv * (V.T @ g)), int(np.count_nonzero(keep))
+        rank = int(np.count_nonzero(keep))
+        inv = 1.0 / w if rank == w.size else np.divide(1.0, w, out=np.zeros_like(w), where=keep)
+        p = V @ (inv * (V.T @ g))
     gnorm = math.sqrt(g.dot(g))
     if gnorm == 0.0:
-        return DualNormResult(0.0, True, rank, p, gnorm)
-    r = H @ p - g
+        return 0.0, True, rank, p, gnorm
+    r = S @ p - g
     in_range = gnorm < math.inf and math.sqrt(r.dot(r)) <= DEFAULT_PINV_RTOL * gnorm
-    return DualNormResult(float(g @ p), bool(in_range), rank, p, gnorm)
+    return float(g.dot(p)), in_range, rank, p, gnorm
 
 
 def min_eigenvalue(M):

@@ -22,7 +22,8 @@ POLYNORM_MAX_DIMENSION = 10
 
 def as_point(x, dimension=None):
     """Coerce scalars/sequences to a finite float vector."""
-    p = np.atleast_1d(np.asarray(x, dtype=float))
+    p = np.asarray(x, dtype=float)
+    p = p.reshape(1) if p.ndim == 0 else p
     if p.ndim != 1:
         raise InputError(f"point must be one-dimensional, got shape {p.shape}")
     if dimension is not None and p.shape[0] != dimension:
@@ -56,7 +57,10 @@ class SmoothLoss:
     _eval_batch: Optional[Callable[[np.ndarray], tuple]] = None
 
     def evaluate(self, x):
-        x = as_point(x, self.dimension)
+        return self.evaluate_point(as_point(x, self.dimension))
+
+    def evaluate_point(self, x):
+        """evaluate() of a point that as_point has already checked."""
         f, g, H = self._eval(x)
         return float(f), np.asarray(g, dtype=float), np.asarray(H, dtype=float)
 

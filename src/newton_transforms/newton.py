@@ -17,7 +17,7 @@ from typing import List
 import numpy as np
 
 from .errors import DomainError, EvaluationError, InputError, SingularScalingError
-from .linalg import dual_norm_sq, norm_exceeds, symmetrize
+from .linalg import DEFAULT_PINV_RTOL, dual_norm_sq, eigh_solve, norm_exceeds, symmetrize
 from .losses import SmoothLoss, as_point
 from .transforms import (SCALING_QUALIFIED_TOL, SCALING_ZERO_TOL, ScalarTransform, compose, forward_stepsize,
                          induced_stepsize, scaling_factor)
@@ -54,6 +54,7 @@ class StepState:
     g: np.ndarray
     direction: np.ndarray  # pinv(H) g
     dual_sq: float  # <g, pinv(H) g> of the driven loss
+    in_range: bool  # g in Range(H) of the driven loss, to DEFAULT_PINV_RTOL
     loss: SmoothLoss
 
 
@@ -118,11 +119,12 @@ class ConstantSchedule:
 
 
 class ForwardedSchedule:
-    """Drive L = phi(f) with alpha_phi(x) = alpha * scaling(x).
-
-    scaling is computed from the *base* loss quantities at x, so the L-run
-    reproduces the f-run iterate for iterate. They are the ones compose
-    recorded on the driven loss when it evaluated base_loss at this very x.
+    """Drive L = phi(f) with alpha_phi(x) = alpha * scaling(x), the base loss's
+    1 + (phi''/phi') <g, H^+ g> at x, so the L-run reproduces the f-run iterate
+    for iterate. compose records the base f, g, H and phi'(f) at this very x.
+    With g in Range(H), Sherman-Morrison gives s = 1 / (1 - (phi''/phi') q_L / phi')
+    and s p_L = H^+ g from the driven solve; H (s p_L) = g certifies that
+    hypothesis, and without it the base loss is solved.
     """
 
     def __init__(self, base_alpha, transform: ScalarTransform, base_loss: SmoothLoss):
@@ -131,11 +133,16 @@ class ForwardedSchedule:
         self.base_loss = base_loss
 
     def __call__(self, state):
-        base, x, f, g, H = getattr(state.loss, "base_eval", (None,) * 5)
+        base, x, f, g, H, p1 = getattr(state.loss, "base_eval", (None,) * 6)
+        s = np.nan
         if base is not self.base_loss or x is not state.x:
             f, g, H = self.base_loss.evaluate(state.x)
-        dual = dual_norm_sq(H, g)
-        s = scaling_factor(self.transform, f, dual.value)
+        elif state.in_range:  # q_L / phi' = q / s; in float64, phi' = 0 gives inf, not ZeroDivisionError
+            s = 1.0 / (1.0 - self.transform.ratio(f) * (np.float64(state.dual_sq) / p1))
+            r = H @ (s * state.direction) - g
+            s = s if math.sqrt(r.dot(r)) <= DEFAULT_PINV_RTOL * math.sqrt(g.dot(g)) else np.nan
+        if not math.isfinite(s):
+            s = scaling_factor(self.transform, f, dual_norm_sq(H, g).value)
         if abs(s) <= SCALING_ZERO_TOL:
             raise SingularScalingError(f"scaling factor {s} singular at iterate {state.k}")
         return forward_stepsize(self.base_alpha, s), s
@@ -188,11 +195,11 @@ def run_newton(loss, schedule, x0, cfg=None):
     validation — failures are recorded in trace.termination. Overflow is
     recorded as divergence, without a NumPy warning."""
     cfg = cfg or NewtonConfig()
-    x = as_point(x0, loss.dimension)
+    x = np.array(as_point(x0, loss.dimension))  # every later iterate is a fresh array
     tr = IterateTrace()
 
     def push(x, f=np.nan, gn=np.nan, dual=np.nan, inr=False):
-        tr.xs.append(np.array(x))
+        tr.xs.append(x)
         tr.values.append(f)
         tr.grad_norms.append(gn)
         tr.dual_sqs.append(dual)
@@ -206,24 +213,26 @@ def run_newton(loss, schedule, x0, cfg=None):
 
     for k in range(cfg.max_iters + 1):
         try:
-            f, g, H = loss.evaluate(x)
+            f, g, H = loss.evaluate_point(x)
         except (DomainError, EvaluationError):
             push(x)
             return end(DOMAIN_ERROR)
         if not (math.isfinite(f) and np.isfinite(g).all() and np.isfinite(H).all()):
             push(x)
             return end(DIVERGED)
+        if g.shape != H.shape[:-1]:
+            raise InputError(f"gradient shape {g.shape} does not match matrix shape {H.shape}")
 
-        solve = dual_norm_sq(H, g)
-        push(x, f, solve.grad_norm, solve.value, solve.in_range)
+        dual, in_range, _, p, gnorm = eigh_solve(symmetrize(H), g)
+        push(x, f, gnorm, dual, in_range)
 
         near_min = loss.minimizer is not None and not norm_exceeds(x - loss.minimizer, cfg.xtol)
-        if solve.grad_norm <= cfg.gtol or near_min:
+        if gnorm <= cfg.gtol or near_min:
             return end(CONVERGED)
         if k == cfg.max_iters:
             return end(MAX_ITERS)
 
-        state = StepState(k=k, x=x, f=f, g=g, direction=solve.direction, dual_sq=solve.value, loss=loss)
+        state = StepState(k=k, x=x, f=f, g=g, direction=p, dual_sq=dual, in_range=in_range, loss=loss)
         try:
             alpha, scal = schedule(state)
         except SingularScalingError:
@@ -233,8 +242,8 @@ def run_newton(loss, schedule, x0, cfg=None):
         tr.alphas[-1] = alpha
         tr.scalings[-1] = scal
 
-        x = x - alpha * solve.direction
-        if not np.isfinite(x).all() or norm_exceeds(x, cfg.divergence_radius):
+        x = x - alpha * p
+        if norm_exceeds(x, cfg.divergence_radius):  # NaN and inf exceed
             push(x)
             return end(DIVERGED)
 
@@ -265,15 +274,13 @@ def run_equivalence(loss, t, base_schedule, x0, cfg=None):
     trace_f = run_newton(loss, base_schedule, x0, cfg)
     trace_L = run_newton(compose(loss, t), ForwardedSchedule(base_schedule.alpha, t, loss), x0, cfg)
 
-    n = min(len(trace_f.xs), len(trace_L.xs))
     dev = 0.0
-    for k in range(n):
-        xf, xl = trace_f.xs[k], trace_L.xs[k]
+    for xf, xl in zip(trace_f.xs, trace_L.xs):
         if not (np.isfinite(xf).all() and np.isfinite(xl).all()):
             break
         d = xf - xl
         dev = max(dev, math.sqrt(d.dot(d)) / (1.0 + math.sqrt(xf.dot(xf))))
-    return EquivalenceResult(trace_f, trace_L, dev, n)
+    return EquivalenceResult(trace_f, trace_L, dev, min(len(trace_f.xs), len(trace_L.xs)))
 
 
 # ----------------------------------------------------------------------------

@@ -259,8 +259,9 @@ def recipe_convexify_cauchy(out_dir):
     """Compact-set convexification certificate for ln(1+x^2) on [-2, 2]."""
     loss = as_1d_loss(make_radial("cauchy"))
     grid = np.arange(-2.0, 2.0 + 1e-9, 1e-3).reshape(-1, 1)
-    c = compact_constant(loss, [2.0], grid)
-    rep = verify_convexified(loss, exp_convexifier(c, 0.0), grid)
+    stack = loss.evaluate_batch(grid)
+    c = compact_constant(loss, [2.0], grid, stack)
+    rep = verify_convexified(loss, exp_convexifier(c, 0.0), grid, stack)
     _require(rep.min_eig >= -1e-8, f"convexified min eigenvalue {rep.min_eig} below tolerance")
     write_lines(_path(out_dir, "convexify_cauchy.txt"), [
         f"c={c:.17g}",

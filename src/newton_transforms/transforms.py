@@ -170,12 +170,12 @@ def compose(base, t):
     """Compose a loss with a monotone transform."""
 
     def ev(x):
-        f, g, H = base.evaluate(x)
+        f, g, H = base.evaluate_point(x)  # the composed loss has checked x
         if g.shape != H.shape[:-1]:  # before the chain rule's broadcasting fails on it
             raise InputError(f"gradient shape {g.shape} does not match matrix shape {H.shape}")
-        composed.base_eval = (base, x, f, g, H)  # for ForwardedSchedule at this very x
         t.require(f)
         p1, p2 = t.phi_prime(f), t.phi_double_prime(f)
+        composed.base_eval = (base, x, f, g, H, p1)  # for ForwardedSchedule at this very x
         return t.phi(f), p1 * g, p1 * H + p2 * (g[:, None] * g)
 
     def ev_batch(X):

@@ -1,5 +1,6 @@
 """Test helpers: finite-difference validation of gradients and Hessians,
-and reference formulas of the 2D benchmarks.
+reference formulas of the 2D benchmarks, and the scalar solve as first
+written.
 
 Central differences with step scaling 1 + ||x|| so relative accuracy holds
 across benchmark scales (Goldstein-Price values span 1e6).
@@ -7,9 +8,12 @@ across benchmark scales (Goldstein-Price values span 1e6).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from newton_transforms.errors import DomainError, EvaluationError
+from newton_transforms.errors import DomainError, EvaluationError, InputError
+from newton_transforms.linalg import _SQUARE_SAFE, ASYMMETRY_RTOL, DEFAULT_PINV_RTOL, DualNormResult, row_norm
 
 
 def _central_differences(fn, x):
@@ -130,3 +134,88 @@ def reference_goldstein_price(x):
 #: The reference formula of each 2D benchmark by name.
 REFERENCE_BENCHMARKS = {"rosenbrock": reference_rosenbrock, "beale": reference_beale,
                         "goldstein_price": reference_goldstein_price}
+
+
+# The scalar solve and point checks as first written, one validation per
+# call. The package's split solve (eigh_solve behind dual_norm_sq) and its
+# leaner symmetrize, norm_exceeds and as_point must equal them bit for bit
+# and raise the same errors.
+
+def reference_symmetrize(M):
+    """Return M/2 + M^T/2 of a finite square matrix (halving first keeps entries
+    near the float maximum finite), rejecting asymmetry above 1e-8 relative."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise InputError(f"matrix must be square, got shape {M.shape}")
+    big = np.abs(M).max(initial=0.0)
+    S = M
+    if not big < _SQUARE_SAFE:  # NaN, inf, or entries whose squares overflow
+        if not math.isfinite(big):
+            raise InputError("matrix has non-finite entries")
+        S = M / big
+    D, F = (S - S.T).ravel(order="K"), S.ravel(order="K")  # np.linalg.norm's own reduction, without its wrapper
+    asym = math.sqrt(D.dot(D))
+    if asym > 0.0 and asym > ASYMMETRY_RTOL * math.sqrt(F.dot(F)):  # exact symmetry needs no scale
+        raise InputError("matrix asymmetry exceeds 1e-8 relative; refusing to symmetrize")
+    return 0.5 * M + 0.5 * M.T
+
+
+def reference_norm_exceeds(x, bound):
+    """||x|| > bound along the last axis, without squaring entries large
+    enough to overflow.
+
+    A row whose largest |entry| already exceeds the bound is decided by that
+    entry; the others give the same answer as ``np.linalg.norm(x) > bound``.
+    NaN rows count as exceeding.
+    """
+    if x.ndim == 1:  # the per-iteration check of run_newton: keep it cheap
+        return bool(not np.abs(x).max() <= bound or np.sqrt(x.dot(x)) > bound)
+    m = np.max(np.abs(x), axis=-1)
+    settled = ~(m <= bound)
+    return settled | (row_norm(np.where(settled[..., None], 0.0, x)) > bound)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_dual_norm_sq(H, g):
+    """The Newton direction p = H^+ g with ||g||*^2 = <g, p>, and whether g
+    lies in Range(H).
+
+    H is symmetrized and validated once; p is the eigendecomposition
+    pseudoinverse with the relative cutoff DEFAULT_PINV_RTOL. in_range is
+    ||H p - g|| <= DEFAULT_PINV_RTOL * ||g|| (true for g = 0, false when ||g||
+    overflows). The value can be negative when H is indefinite. Overflow
+    gives non-finite results without a NumPy warning.
+    """
+    H = reference_symmetrize(H)
+    g = np.asarray(g, dtype=float)
+    if g.shape != H.shape[:-1]:
+        raise InputError(f"gradient shape {g.shape} does not match matrix shape {H.shape}")
+    if not np.isfinite(g).all():
+        raise InputError("vector has non-finite entries")
+    w, V = np.linalg.eigh(H)
+    wmax = abs(w).max() if w.size else 0.0
+    if wmax == 0.0:
+        p, rank = np.zeros_like(g), 0
+    else:
+        keep = abs(w) >= DEFAULT_PINV_RTOL * wmax
+        inv = np.zeros_like(w)
+        inv[keep] = 1.0 / w[keep]
+        p, rank = V @ (inv * (V.T @ g)), int(np.count_nonzero(keep))
+    gnorm = math.sqrt(g.dot(g))
+    if gnorm == 0.0:
+        return DualNormResult(0.0, True, rank, p, gnorm)
+    r = H @ p - g
+    in_range = gnorm < math.inf and math.sqrt(r.dot(r)) <= DEFAULT_PINV_RTOL * gnorm
+    return DualNormResult(float(g @ p), bool(in_range), rank, p, gnorm)
+
+
+def reference_as_point(x, dimension=None):
+    """Coerce scalars/sequences to a finite float vector."""
+    p = np.atleast_1d(np.asarray(x, dtype=float))
+    if p.ndim != 1:
+        raise InputError(f"point must be one-dimensional, got shape {p.shape}")
+    if dimension is not None and p.shape[0] != dimension:
+        raise InputError(f"point has dimension {p.shape[0]}, expected {dimension}")
+    if not np.isfinite(p).all():
+        raise InputError("point has non-finite entries")
+    return p

@@ -171,6 +171,9 @@ MALFORMED = [
     "run --loss polynorm:d=100000 --x0 1,1",
     "run --loss polynorm:d=100000000000000000000 --x0 1,1",
     "run --loss beale --schedule const:zz --x0 1,1",
+    "run --loss beale --schedule const:nan --x0 1,1.2",
+    "run --loss beale --schedule const:-inf --x0 1,1.2",
+    "run --loss beale --transform log:a=1 --schedule induced:inf --x0 1,1.2",
     "sweep-alpha --loss polytope:p=2 --alphas 1:2",
     "sweep-alpha --loss polytope:p=2 --alphas 1:2:0",
     "convexify --loss cauchy1d --x0 2 --grid 1:2",

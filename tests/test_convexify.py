@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from checks import check_transform
+from newton_transforms.cli import main
 from newton_transforms.convexify import (
     bordered_hessian,
     check_pseudoconvex,
@@ -345,9 +346,12 @@ def _bits(v):
 
 def _assert_same_certificates(loss, x0, grid, transforms):
     """compact_constant and verify_convexified equal the per-point loops bit
-    for bit; returns the reports."""
+    for bit, on the grid and on its evaluated stack, which they leave as it
+    was; returns the reports."""
+    stack = loss.evaluate_batch(grid)
+    err = stack[3].copy()
     c = compact_constant(loss, x0, grid)
-    assert _bits(c) == _bits(_loop_compact_constant(loss, x0, grid))
+    assert _bits(c) == _bits(_loop_compact_constant(loss, x0, grid)) == _bits(compact_constant(loss, x0, grid, stack))
     reports = []
     for t in transforms(c):
         rep = verify_convexified(loss, t, grid)
@@ -356,8 +360,20 @@ def _assert_same_certificates(loss, x0, grid, transforms):
         assert _bits(rep.max_norm) == _bits(worst_norm), t.name
         assert rep.argmin.tobytes() == argmin.tobytes(), t.name
         assert (rep.n_evaluated, rep.n_skipped) == (n_eval, n_skip), t.name
+        on_stack = verify_convexified(loss, t, grid, stack)
+        assert (_bits(on_stack.min_eig), _bits(on_stack.max_norm), on_stack.argmin.tobytes(), on_stack.n_evaluated,
+                on_stack.n_skipped) == (_bits(best), _bits(worst_norm), argmin.tobytes(), n_eval, n_skip), t.name
         reports.append(rep)
+    assert stack[3].tobytes() == err.tobytes()
     return reports
+
+
+def test_convexify_command_evaluates_its_grid_once(monkeypatch, tmp_path):
+    calls = []
+    evaluate_batch = SmoothLoss.evaluate_batch
+    monkeypatch.setattr(SmoothLoss, "evaluate_batch", lambda loss, X: calls.append(len(X)) or evaluate_batch(loss, X))
+    assert main(["--out-dir", str(tmp_path), "convexify", "--loss", "cauchy1d", "--x0", "2", "--grid=-2:2:0.01"]) == 0
+    assert calls == [401]
 
 
 def _asymmetric_loss():

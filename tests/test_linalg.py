@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
+from checks import reference_as_point, reference_dual_norm_sq, reference_norm_exceeds, reference_symmetrize
 from newton_transforms.errors import CapabilityError, InputError
 from newton_transforms.linalg import (
+    DualNormResult,
     dual_norm_sq,
     min_eigenvalue,
+    norm_exceeds,
     pinv_solve,
     principal_minors,
     symmetrize,
     symmetrize_batch,
 )
-from newton_transforms.losses import make_benchmark
+from newton_transforms.losses import as_point, make_benchmark
 from newton_transforms.transforms import compose, make_table1
 
 
@@ -190,3 +193,65 @@ def test_symmetrize_rejects_asymmetry_whose_squares_overflow(scale):
     S = scale * np.array([[1.0, 0.5], [0.5 * (1.0 + 1e-12), 1.0]])  # roundoff asymmetry passes
     assert symmetrize(S).tobytes() == (0.5 * S + 0.5 * S.T).tobytes()
     assert symmetrize_batch(np.stack([np.eye(2), S]))[1].tobytes() == symmetrize(S).tobytes()
+
+
+def _solve_cases(d):
+    """(H, g) pairs of dimension d: random symmetric and indefinite matrices,
+    ranks d - 1 and d - 2, the zero matrix, g = 0, roundoff asymmetry, entries
+    near 1e150 (the scaled asymmetry check), the overflowing gradient of
+    test_overflow_warns_nowhere, and inputs the solve rejects."""
+    rng = np.random.default_rng(d)
+    A = rng.standard_normal((d, d))
+    sym = A + A.T
+    Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    w = rng.uniform(0.5, 2.0, d) * rng.choice([-1.0, 1.0], d)
+    g = rng.standard_normal(d)
+    noise = 1.0 + 1e-12 * rng.standard_normal((d, d))
+    cases = [(sym, g), (sym @ sym, g), (np.diag(w), g), (np.zeros((d, d)), g), (sym, np.zeros(d)),
+             (np.zeros((d, d)), np.zeros(d)), (sym * noise, g), (3e150 * sym, g), (3e150 * sym * noise, g),
+             (sym, np.full(d, np.nan)), (np.full((d, d), np.inf), g), (sym, g[:-1]), (sym[:, :-1], g)]
+    for rank in (d - 1, d - 2):
+        if rank >= 0:
+            cases.append(((Q * np.where(np.arange(d) < rank, w, 0.0)) @ Q.T, g))
+    if d >= 2:
+        skew = np.triu(np.ones((d, d)), 1)
+        cases += [(sym + 1e-3 * skew, g), (3e150 * (sym + 1e-3 * skew), g)]
+    if d == 2:
+        L = compose(make_benchmark("rosenbrock"), make_table1("exponential", a=0.5))
+        _, gL, HL = L.evaluate([1.5, -1.0])
+        cases.append((HL, gL))
+    return cases
+
+
+def _outcome(fn, *args):
+    """fn's result as bytes and flags, or the message of the InputError it raises."""
+    try:
+        out = fn(*args)
+    except InputError as exc:
+        return "InputError", str(exc)
+    if isinstance(out, DualNormResult):
+        return (np.float64(out.value).tobytes(), type(out.value), out.in_range, type(out.in_range), out.rank,
+                out.direction.tobytes(), np.float64(out.grad_norm).tobytes())
+    if isinstance(out, np.ndarray):
+        return out.shape, out.dtype, out.tobytes()
+    return out, type(out)
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_split_solve_and_checks_match_the_reference_bit_for_bit(d):
+    """dual_norm_sq (validation, then eigh_solve), symmetrize, norm_exceeds
+    and as_point against their first-written forms in checks.py."""
+    for H, g in _solve_cases(d):
+        assert _outcome(symmetrize, H) == _outcome(reference_symmetrize, H)
+        assert _outcome(dual_norm_sq, H, g) == _outcome(reference_dual_norm_sq, H, g)
+    x = np.random.default_rng(d).standard_normal(d)
+    for v in [x, 1e-300 * x, 1e160 * x, 1e308 * (x / abs(x).max()), np.where(np.arange(d) == 0, np.nan, x),
+              np.where(np.arange(d) == d - 1, -np.inf, x)]:
+        for bound in (1e-10, 1.0, 1e6, 1e200):
+            with np.errstate(over="ignore"):  # as in run_newton: <x, x> overflows at 1e160 x below 1e200
+                assert _outcome(norm_exceeds, v, bound) == _outcome(reference_norm_exceeds, v, bound)
+    for p in [x, list(x), tuple(x), x.astype(np.float32), np.arange(d), [x], x[:-1], np.where(x > 0, np.nan, x)]:
+        for dim in (None, d):
+            assert _outcome(as_point, p, dim) == _outcome(reference_as_point, p, dim)
+    for p in [0.5, np.float64(-2.0), np.array(3.0), 7, np.nan, [0.5], [[0.5]]]:
+        assert _outcome(as_point, p, 1) == _outcome(reference_as_point, p, 1)

@@ -1,6 +1,7 @@
-"""Hypothesis properties: the CLI contract over generated argv, and the
+"""Hypothesis properties: the CLI contract over generated argv, the
 stepsize-rescaling theorem over generated Table-1 transforms and starts and,
-without Hypothesis, over whole convergence maps.
+without Hypothesis, over whole convergence maps, and the forwarded scaling
+taken from the driven solve against the two-solve reference.
 
 Examples are derandomized and few, so the suite stays deterministic and fast.
 """
@@ -19,12 +20,14 @@ from hypothesis import strategies as st
 from newton_transforms.cli import build_parser, main
 from newton_transforms.errors import InputError
 from newton_transforms.linalg import dual_norm_sq, norm_exceeds
-from newton_transforms.losses import known_loss_names, loss_from_spec, make_benchmark
-from newton_transforms.newton import (SINGULAR_SCALING, ConstantSchedule, InducedSchedule, NewtonConfig, run_equivalence,
-                                      run_newton)
+from newton_transforms.losses import SmoothLoss, known_loss_names, loss_from_spec, make_benchmark
+from newton_transforms.newton import (CONVERGED, SINGULAR_SCALING, ConstantSchedule, ForwardedSchedule, InducedSchedule,
+                                      NewtonConfig, StepState, run_equivalence, run_newton)
+from newton_transforms.recipes import EQUIVALENCE_PARAMS
 from newton_transforms.scans import RADIUS_TOL, grid_axes, scan_convergence
 from newton_transforms.transforms import (
     SCALING_QUALIFIED_TOL,
+    ScalarTransform,
     compose,
     forward_stepsize,
     induced_stepsize,
@@ -287,3 +290,87 @@ def test_reciprocity_of_the_scaling_factor(lname, kind_params, x):
     if not (np.isfinite(q_L) and 0.0 < p1 < np.inf):
         return  # phi(f) overflows or underflows in floating point
     assert abs(s * (1.0 - t.ratio(f) / p1 * q_L) - 1.0) <= 1e-8  # phi''/phi'^2 = ratio / phi'
+
+
+# ----------------------------------------------------------------------------
+# The forwarded scaling from the driven solve
+# ----------------------------------------------------------------------------
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def reference_forwarded_scaling(loss, t, x):
+    """The forwarded scaling as first computed: a second solve on the base
+    loss at x, 1 + (phi''/phi') <g, H^+ g>."""
+    f, g, H = loss.evaluate(x)
+    return scaling_factor(t, f, dual_norm_sq(H, g).value)
+
+
+def _shortcut_scalings(loss, t, trace):
+    """The number of stepped iterates of a forwarded run whose scaling came
+    from the driven solve. Every other one must equal the reference bit for
+    bit (the base solve ran); these only within 1e-10 relative, and only
+    where the driven solve had its gradient in range."""
+    shortcut = 0
+    for x, s, in_range in zip(trace.xs, trace.scalings, trace.in_range):
+        if np.isnan(s):
+            continue  # no step taken
+        ref = reference_forwarded_scaling(loss, t, x)
+        if np.float64(s).tobytes() != np.float64(ref).tobytes():
+            assert in_range and abs(s - ref) <= 1e-10 * abs(ref), (x, s, ref)
+            shortcut += 1
+    return shortcut
+
+
+def test_forwarded_scalings_match_the_two_solve_reference():
+    """Forwarded runs over the Table-1 zoo of table1_check, the three
+    benchmarks and generated starts take their scalings from the driven
+    solve, s = 1 / (1 - (phi''/phi') q_L / phi'), within 1e-10 of the base
+    solve's 1 + (phi''/phi') q."""
+    cfg = NewtonConfig(max_iters=12)
+    counts = []
+
+    @settings(max_examples=150, **SETTINGS)
+    @given(lname=st.sampled_from(sorted(EQUIVALENCE_STARTS)), tname=st.sampled_from(sorted(EQUIVALENCE_PARAMS)),
+           x0=START, alpha=st.sampled_from([0.25, 0.5, 1.0]))
+    def prop(lname, tname, x0, alpha):
+        loss, t = make_benchmark(lname), make_table1(tname, **EQUIVALENCE_PARAMS[tname])
+        trace = run_newton(compose(loss, t), ForwardedSchedule(alpha, t, loss), x0, cfg)
+        counts.append(_shortcut_scalings(loss, t, trace))
+
+    prop()
+    assert sum(counts) > 100  # scalings that moved in the last bits: the shortcut ran
+
+
+def _range_defect():
+    """f = x0^2 + x1: H = diag(2, 0) and g = (2 x0, 1), never in Range(H)."""
+    return SmoothLoss("range_defect", 2, lambda x: (x[0] * x[0] + x[1], np.array([2.0 * x[0], 1.0]),
+                                                     np.diag([2.0, 0.0])))
+
+
+@pytest.mark.parametrize("tname", ["polynomial", "exponential", "logarithmic", "sigmoid"])
+def test_forwarded_scaling_falls_back_where_grad_f_leaves_the_range(tname):
+    """hess phi(f) = phi' H + phi'' g g^T is full rank here, so the driven
+    solve is in range; the certificate H (s p_L) = g must still fail and the
+    base solve give the reference scalings bit for bit."""
+    loss, t = _range_defect(), make_table1(tname, **EQUIVALENCE_PARAMS[tname])
+    trace = run_newton(compose(loss, t), ForwardedSchedule(0.5, t, loss), [0.7, 1.3], NewtonConfig(max_iters=12))
+    stepped = [inr for inr, s in zip(trace.in_range, trace.scalings) if not np.isnan(s)]
+    assert stepped and any(stepped)
+    assert _shortcut_scalings(loss, t, trace) == 0
+
+
+def test_forwarded_run_survives_a_zero_phi_prime():
+    """A Python-float phi' of 0 makes the shortcut's q_L / phi' infinite in
+    float64, not a ZeroDivisionError: the base solve takes over, and a run
+    reaching such an iterate ends with a recorded termination."""
+    flat = ScalarTransform("flat_above_1", phi=lambda y: min(y, 1.0), phi_prime=lambda y: 1.0 if y < 1.0 else 0.0,
+                           phi_double_prime=lambda y: 0.0, ratio_fn=lambda y: 0.0)
+    loss = make_benchmark("rosenbrock")
+    trace = run_newton(compose(loss, flat), ForwardedSchedule(1.0, flat, loss), [0.5, 0.2], NewtonConfig(max_iters=12))
+    assert trace.values[0] < 1.0 <= loss.value(trace.final_x)  # phi' = 0 at the last iterate
+    assert trace.termination == CONVERGED and trace.grad_norms[-1] == 0.0
+    L = compose(loss, flat)
+    x = np.array([1.5, 1.0])
+    f, g, H = L.evaluate(x)
+    state = StepState(k=0, x=x, f=f, g=g, direction=np.ones(2), dual_sq=1.0, in_range=True, loss=L)
+    with np.errstate(divide="ignore", invalid="ignore"):  # as run_newton holds it
+        assert ForwardedSchedule(0.5, flat, loss)(state) == (0.5, 1.0)
