@@ -6,10 +6,12 @@ that the asymmetry is below 1e-8 relative; larger drift indicates an upstream
 bug and is rejected.
 
 The ``*_batch`` routines apply the same computation to stacks of N matrices
-and vectors. Every row equals the scalar routine bit for bit: stacked
-``np.linalg.eigh`` and ``np.matmul`` call the same LAPACK/BLAS kernel once
-per row, and row dot products go through ``np.matmul`` rather than
-``np.einsum``, whose summation order differs from ``ndarray.dot``.
+and vectors. Every row equals the scalar routine bit for bit: the stacked
+LAPACK eigh and ``np.matmul`` call the same LAPACK/BLAS kernel once per row,
+and row dot products go through ``np.matmul`` rather than ``np.einsum``,
+whose summation order differs from ``ndarray.dot``. Eigendecompositions and
+small solves call the LAPACK gufuncs behind ``np.linalg.eigh`` and
+``np.linalg.solve`` directly, without the wrappers' per-call conversions.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # private to NumPy; the version is pinned, tests compare with np.linalg
 
 from .errors import CapabilityError, InputError
 
@@ -54,17 +57,20 @@ def symmetrize(M):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InputError(f"matrix must be square, got shape {M.shape}")
-    big = abs(M).max(initial=0.0)
-    S = M
-    if not big < _SQUARE_SAFE:  # NaN, inf, or entries whose squares overflow
-        if not math.isfinite(big):
-            raise InputError("matrix has non-finite entries")
-        S = M / big
-    D, F = (S - S.T).ravel(order="K"), S.ravel(order="K")  # np.linalg.norm's own reduction, without its wrapper
-    asym = math.sqrt(D.dot(D))
-    if asym > 0.0 and asym > ASYMMETRY_RTOL * math.sqrt(F.dot(F)):  # exact symmetry needs no scale
-        raise InputError("matrix asymmetry exceeds 1e-8 relative; refusing to symmetrize")
-    return 0.5 * M + 0.5 * M.T
+    # a bit-symmetric matrix with a finite sum (Python's: no overflow warning) has nothing to check
+    if M.tobytes() != M.T.tobytes() or not math.isfinite(sum(M.ravel().tolist())):
+        big = np.maximum.reduce(abs(M), axis=None)
+        S = M
+        if not big < _SQUARE_SAFE:  # NaN, inf, or entries whose squares overflow
+            if not math.isfinite(big):
+                raise InputError("matrix has non-finite entries")
+            S = M / big
+        D, F = (S - S.T).ravel(), S.ravel()  # np.linalg.norm's own reduction, without its wrapper
+        asym = math.sqrt(D.dot(D))
+        if asym > 0.0 and asym > ASYMMETRY_RTOL * math.sqrt(F.dot(F)):
+            raise InputError("matrix asymmetry exceeds 1e-8 relative; refusing to symmetrize")
+    half = 0.5 * M  # (0.5 M)^T is 0.5 M^T, entry for entry
+    return half + half.T
 
 
 def row_dot(a, b):
@@ -82,14 +88,22 @@ def norm_exceeds(x, bound):
     enough to overflow.
 
     A row whose largest |entry| already exceeds the bound is decided by that
-    entry; the others give the same answer as ``np.linalg.norm(x) > bound``.
+    entry; the others give the same answer as ``np.linalg.norm(x) > bound``,
+    computed on the row scaled by that entry once it reaches _SQUARE_SAFE.
     NaN rows count as exceeding.
     """
     if x.ndim == 1:  # the per-iteration check of run_newton: keep it cheap
-        return bool(not abs(x).max() <= bound or math.sqrt(x.dot(x)) > bound)
-    m = np.max(np.abs(x), axis=-1)
+        m = max(map(abs, x.tolist()))  # may pass over a NaN, whose norm is not <= bound either
+        if _SQUARE_SAFE <= m <= bound < math.inf:
+            return not math.sqrt((x / m).dot(x / m)) * m <= bound
+        return m > bound or not math.sqrt(x.dot(x)) <= bound
+    m = np.maximum.reduce(abs(x), axis=-1)
     settled = ~(m <= bound)
-    return settled | (row_norm(np.where(settled[..., None], 0.0, x)) > bound)
+    x = np.where(settled[..., None], 0.0, x)
+    if bound < _SQUARE_SAFE:
+        return settled | (row_norm(x) > bound)
+    s = np.where(settled | (m < _SQUARE_SAFE), 1.0, m)  # scale the rows below the bound whose squares may overflow
+    return settled | (row_norm(x / s[..., None]) * s > bound)
 
 
 def symmetrize_batch(M):
@@ -113,12 +127,25 @@ def symmetrize_batch(M):
     return 0.5 * M + 0.5 * M.transpose(0, 2, 1)
 
 
+def lapack_eigh(S):
+    """np.linalg.eigh(S) of float64 matrices, bit for bit; NaN (and the invalid flag) where LAPACK fails."""
+    return _umath_linalg.eigh_lo(S, signature="d->dd")
+
+
+def lapack_solve(A, b):
+    """np.linalg.solve(A, b) of float64 matrices and one vector, bit for bit; NaN where A is singular."""
+    return _umath_linalg.solve1(A, b, signature="dd->d")
+
+
 def eigh_solve_batch(S, G):
     """pinv_solve() for every row without its checks: S (N, d, d) a
     symmetrize_batch result, G (N, d) finite gradients -> P (N, d)."""
-    w, V = np.linalg.eigh(S)
-    wmax = np.max(np.abs(w), axis=1)
-    keep = (np.abs(w) >= DEFAULT_PINV_RTOL * wmax[:, None]) & (wmax > 0.0)[:, None]
+    w, V = lapack_eigh(S)
+    aw = abs(w)
+    wmax = np.maximum.reduce(aw, axis=1)
+    if math.isnan(np.add.reduce(wmax)):  # a sum of non-negative terms is NaN only through a NaN term
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    keep = (aw >= DEFAULT_PINV_RTOL * wmax[:, None]) & (wmax > 0.0)[:, None]
     inv = np.zeros_like(w)
     inv[keep] = 1.0 / w[keep]
     VtG = np.matmul(V.transpose(0, 2, 1), G[:, :, None])[:, :, 0]
@@ -156,14 +183,20 @@ def dual_norm_sq(H, g):
 def eigh_solve(S, g):
     """dual_norm_sq's fields without its checks or np.errstate: S a symmetrize()
     result, g a finite gradient of matching shape -> (value, in_range, rank, p, ||g||)."""
-    w, V = np.linalg.eigh(S)
-    wmax = max(-w[0], w[-1]) if w.size else 0.0  # eigh sorts ascending
+    w, V = lapack_eigh(S)
+    ws = w.tolist() or [0.0]  # ascending; Python floats compare and scale as float64 does, faster
+    if ws[0] != ws[0] or ws[-1] != ws[-1]:  # LAPACK failed, as np.linalg.eigh raises
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    wmax = max(-ws[0], ws[-1])
     if wmax == 0.0:
         p, rank = np.zeros_like(g), 0
     else:
-        keep = abs(w) >= DEFAULT_PINV_RTOL * wmax
-        rank = int(np.count_nonzero(keep))
-        inv = 1.0 / w if rank == w.size else np.divide(1.0, w, out=np.zeros_like(w), where=keep)
+        cut = DEFAULT_PINV_RTOL * wmax
+        if min(map(abs, ws)) >= cut:
+            inv, rank = 1.0 / w, w.size
+        else:
+            keep = abs(w) >= cut
+            inv, rank = np.divide(1.0, w, out=np.zeros_like(w), where=keep), int(np.count_nonzero(keep))
         p = V @ (inv * (V.T @ g))
     gnorm = math.sqrt(g.dot(g))
     if gnorm == 0.0:

@@ -41,11 +41,11 @@ class SmoothLoss:
     evaluate_batch(X) does the same for every row of X. It uses _eval_batch
     where a loss has a vectorized formula and loops evaluate otherwise.
 
-    A vectorized loss is one formula on coordinate rows (a, b = x): x has
-    shape (d,) for one point, whose coordinates are float64 scalars, or
-    (d, N) for a stack. _batched(formula) is its _eval_batch. Integer powers
-    go through _pow, the scalar power of each element, so both paths agree
-    bit for bit.
+    A vectorized loss is one formula on coordinate rows (a, b = x): x is the
+    list of one point's coordinates as Python floats, or an array (d, N) for
+    a stack. _batched(formula) is its _eval_batch. Integer powers go through
+    _pow, the scalar power of each element, so both paths agree bit for bit:
+    Python-float and float64-scalar arithmetic round alike.
     """
 
     name: str
@@ -92,7 +92,7 @@ class SmoothLoss:
         x = as_point(x, self.dimension)
         if self._value is not None:
             return float(self._value(x))
-        return self.evaluate(x)[0]
+        return self.evaluate_point(x)[0]
 
     def gradient(self, x):
         return self.evaluate(x)[1]
@@ -130,8 +130,14 @@ class RadialLoss:
 
 def _pow(v, e):
     """v**e per element, as the power of one float64 scalar: NumPy's
-    vectorized array power differs from it in the last bit."""
-    return v**e if v.ndim == 0 else np.array([vi**e for vi in v])
+    vectorized array power differs from it in the last bit. A Python float
+    powers as float64 does, but raises OverflowError where float64 gives inf."""
+    if isinstance(v, np.ndarray):
+        return np.array([vi**e for vi in v])
+    try:
+        return v**e
+    except OverflowError:
+        return np.float64(v) ** e
 
 
 def _rosenbrock(x):
@@ -174,8 +180,8 @@ def _goldstein_price(x):
     a, b = x
     s = a + b
     v = 2.0 * a - 3.0 * b
-    s2, s3, s4 = (_pow(s, e) for e in (2, 3, 4))
-    v2, v3, v4 = (_pow(v, e) for e in (2, 3, 4))
+    s2, s3, s4 = _pow(s, 2), _pow(s, 3), _pow(s, 4)
+    v2, v3, v4 = _pow(v, 2), _pow(v, 3), _pow(v, 4)
     A = 3 * s4 - 8 * s3 - 6 * s2 + 24 * s + 20
     Ap = 12 * s3 - 24 * s2 - 12 * s + 24
     App = 36 * s2 - 48 * s - 12
@@ -213,8 +219,8 @@ def make_benchmark(name):
         fn, xstar, fstar = _BENCHMARKS[name]
     except KeyError:
         raise InputError(f"unknown benchmark '{name}'; choose from {sorted(_BENCHMARKS)}") from None
-    return SmoothLoss(name=name, dimension=2, _eval=fn, minimizer=np.array(xstar), min_value=fstar,
-                      _eval_batch=_batched(fn))
+    return SmoothLoss(name=name, dimension=2, _eval=lambda x: fn(x.tolist()), minimizer=np.array(xstar),
+                      min_value=fstar, _eval_batch=_batched(fn))
 
 
 # ----------------------------------------------------------------------------

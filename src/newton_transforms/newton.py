@@ -17,7 +17,7 @@ from typing import List
 import numpy as np
 
 from .errors import DomainError, EvaluationError, InputError, SingularScalingError
-from .linalg import DEFAULT_PINV_RTOL, dual_norm_sq, eigh_solve, norm_exceeds, symmetrize
+from .linalg import DEFAULT_PINV_RTOL, dual_norm_sq, eigh_solve, lapack_solve, norm_exceeds, row_norm, symmetrize
 from .losses import SmoothLoss, as_point
 from .transforms import (SCALING_QUALIFIED_TOL, SCALING_ZERO_TOL, ScalarTransform, compose, forward_stepsize,
                          induced_stepsize, scaling_factor)
@@ -44,7 +44,7 @@ class NewtonConfig:
             raise InputError("all NewtonConfig fields must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class StepState:
     """Everything a schedule may inspect when choosing alpha at iterate k."""
 
@@ -217,7 +217,9 @@ def run_newton(loss, schedule, x0, cfg=None):
         except (DomainError, EvaluationError):
             push(x)
             return end(DOMAIN_ERROR)
-        if not (math.isfinite(f) and np.isfinite(g).all() and np.isfinite(H).all()):
+        # a finite sum has finite terms; they are tested one by one only when it is not
+        if not math.isfinite(f + sum(g.ravel().tolist()) + sum(H.ravel().tolist())) and not (
+                math.isfinite(f) and np.isfinite(g).all() and np.isfinite(H).all()):
             push(x)
             return end(DIVERGED)
         if g.shape != H.shape[:-1]:
@@ -276,7 +278,7 @@ def run_equivalence(loss, t, base_schedule, x0, cfg=None):
 
     dev = 0.0
     for xf, xl in zip(trace_f.xs, trace_L.xs):
-        if not (np.isfinite(xf).all() and np.isfinite(xl).all()):
+        if not math.isfinite(sum(xf.tolist()) + sum(xl.tolist())) and not np.isfinite([xf, xl]).all():
             break
         d = xf - xl
         dev = max(dev, math.sqrt(d.dot(d)) / (1.0 + math.sqrt(xf.dot(xf))))
@@ -341,24 +343,22 @@ def lm_invariance_residual(loss, t, x, lam):
         raise InputError("grad f(x) is (numerically) an eigenvector of hess f(x): degenerate geometry")
 
     target = lm_step(loss, x, lam)
-    L = compose(loss, t)
-    fL, gL, HL = L.evaluate(x)
+    _, gL, HL = compose(loss, t).evaluate(x)
     HL = symmetrize(HL)
-    eye = np.eye(len(g))
-
-    def residual(lphi):
-        try:
-            step = np.linalg.solve(HL + lphi * eye, gL)
-        except np.linalg.LinAlgError:
-            return np.inf
-        r = np.linalg.norm(step - target)
-        return r if np.isfinite(r) else np.inf
 
     decades = np.logspace(-8, 6, 8 * 14 + 1)  # 8 candidates per decade
     cand = np.concatenate([-decades[::-1], [0.0], decades])
-    vals = np.array([residual(c) for c in cand])
+    vals = lm_residuals(HL, gL, target, cand)
     i = int(np.argmin(vals))
     lo = cand[max(i - 1, 0)]
     hi = cand[min(i + 1, len(cand) - 1)]
-    _, best = _golden_min(residual, lo, hi)
+    _, best = _golden_min(lambda lphi: lm_residuals(HL, gL, target, np.array([lphi]))[0], lo, hi)
     return float(min(best, vals[i]))
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def lm_residuals(HL, gL, target, lams):
+    """|| (HL + lam I)^{-1} gL - target || for every lam in lams, by one
+    stacked LAPACK solve; a singular or non-finite row reads inf."""
+    r = row_norm(lapack_solve(HL + lams[:, None, None] * np.eye(len(gL)), gL) - target)
+    return np.where(np.isfinite(r), r, np.inf)

@@ -25,6 +25,7 @@ from .newton import (
     InducedSchedule,
     NewtonConfig,
     lm_invariance_residual,
+    lm_residuals,
     lm_step,
     run_equivalence,
     run_newton,
@@ -220,19 +221,14 @@ def recipe_lemma3_demo(out_dir):
     residual = lm_invariance_residual(loss, t, x, lam)
 
     # dense-scan oracle over the same lambda range
-    L = compose(loss, t)
     target = lm_step(loss, x, lam)
-    _, gL, HL = L.evaluate(x)
-    eye = np.eye(2)
+    _, gL, HL = compose(loss, t).evaluate(x)
 
     def res_at(lphi):
-        try:
-            return float(np.linalg.norm(np.linalg.solve(HL + lphi * eye, gL) - target))
-        except np.linalg.LinAlgError:
-            return np.inf
+        return float(lm_residuals(HL, gL, target, np.array([lphi]))[0])
 
     grid = np.concatenate([-np.logspace(-8, 6, 4001)[::-1], [0.0], np.logspace(-8, 6, 4001)])
-    vals = [res_at(l) for l in grid]
+    vals = lm_residuals(HL, gL, target, grid)
     i = int(np.argmin(vals))
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
     for _ in range(200):

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,10 @@ from newton_transforms.errors import CapabilityError, InputError
 from newton_transforms.linalg import (
     DualNormResult,
     dual_norm_sq,
+    eigh_solve,
+    eigh_solve_batch,
+    lapack_eigh,
+    lapack_solve,
     min_eigenvalue,
     norm_exceeds,
     pinv_solve,
@@ -14,6 +21,7 @@ from newton_transforms.linalg import (
     symmetrize_batch,
 )
 from newton_transforms.losses import as_point, make_benchmark
+from newton_transforms.newton import ConstantSchedule, run_newton
 from newton_transforms.transforms import compose, make_table1
 
 
@@ -245,13 +253,92 @@ def test_split_solve_and_checks_match_the_reference_bit_for_bit(d):
         assert _outcome(symmetrize, H) == _outcome(reference_symmetrize, H)
         assert _outcome(dual_norm_sq, H, g) == _outcome(reference_dual_norm_sq, H, g)
     x = np.random.default_rng(d).standard_normal(d)
-    for v in [x, 1e-300 * x, 1e160 * x, 1e308 * (x / abs(x).max()), np.where(np.arange(d) == 0, np.nan, x),
+    big = 1e160 * x
+    for v in [x, 1e-300 * x, big, 1e308 * (x / abs(x).max()), np.where(np.arange(d) == 0, np.nan, x),
               np.where(np.arange(d) == d - 1, -np.inf, x)]:
         for bound in (1e-10, 1.0, 1e6, 1e200):
-            with np.errstate(over="ignore"):  # as in run_newton: <x, x> overflows at 1e160 x below 1e200
-                assert _outcome(norm_exceeds, v, bound) == _outcome(reference_norm_exceeds, v, bound)
+            with np.errstate(over="ignore"):  # the reference's <v, v> overflows at v = 1e160 x
+                want = _outcome(reference_norm_exceeds, v, bound)
+            if v is big and bound == 1e200:  # the reference reads inf > 1e200, but ||v|| = 1e160 ||x||
+                want = (False, bool)
+            assert _outcome(norm_exceeds, v, bound) == want
     for p in [x, list(x), tuple(x), x.astype(np.float32), np.arange(d), [x], x[:-1], np.where(x > 0, np.nan, x)]:
         for dim in (None, d):
             assert _outcome(as_point, p, dim) == _outcome(reference_as_point, p, dim)
     for p in [0.5, np.float64(-2.0), np.array(3.0), 7, np.nan, [0.5], [[0.5]]]:
         assert _outcome(as_point, p, 1) == _outcome(reference_as_point, p, 1)
+
+
+@pytest.mark.parametrize("bound", [1e155, 1e200, 1e300])
+def test_norm_exceeds_does_not_square_rows_below_a_large_bound(bound):
+    # <x, x> overflowed for max|x| above about 1e154, and inf > bound held for
+    # any bound: a norm of 1.4e160 exceeded 1e200
+    x = np.array([1e160, 1e160])
+    X = np.stack([x, 1e-10 * x, [2.0 * bound, 0.0], [np.nan, 1.0], [0.9 * bound, 0.0]])
+    want = [math.hypot(*row) > bound or np.isnan(row).any() for row in X]
+    with np.errstate(over="raise"):
+        assert [norm_exceeds(row, bound) for row in X] == want
+        assert norm_exceeds(X, bound).tolist() == want
+    assert want[0] == (bound < 1.5e160) and want[2] and want[3] and not want[4]
+
+
+def _lapack_matrices(d):
+    """Symmetric d x d test matrices: random, indefinite, ranks d - 1 and d - 2,
+    zero, and entries near 1e150 and 1e-300."""
+    rng = np.random.default_rng(100 + d)
+    A = rng.standard_normal((d, d))
+    sym = A + A.T
+    Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    w = rng.uniform(0.5, 2.0, d) * rng.choice([-1.0, 1.0], d)
+    mats = [sym, (Q * w) @ Q.T, np.zeros((d, d)), 1e150 * sym, 1e-300 * sym]
+    mats += [(Q * np.where(np.arange(d) < rank, w, 0.0)) @ Q.T for rank in (d - 1, d - 2) if rank >= 0]
+    return [0.5 * M + 0.5 * M.T for M in mats]
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_lapack_kernels_match_numpy_linalg_bit_for_bit(d):
+    """The private NumPy gufuncs that lapack_eigh and lapack_solve bind give
+    np.linalg.eigh and np.linalg.solve byte for byte, one matrix or a stack.
+    A NumPy upgrade that changes them fails here first."""
+    mats = _lapack_matrices(d)
+    b = np.random.default_rng(d).standard_normal(d)
+    stack = np.stack(mats)
+    for S, (w, V) in zip([*mats, stack], [np.linalg.eigh(M) for M in [*mats, stack]]):
+        got_w, got_V = lapack_eigh(S)
+        assert (got_w.tobytes(), got_V.tobytes()) == (w.tobytes(), V.tobytes())
+    with np.errstate(invalid="ignore"):  # a singular matrix gives NaN where np.linalg.solve raises
+        stacked = lapack_solve(stack, b)
+        for M, row in zip(mats, stacked):
+            try:
+                want = np.linalg.solve(M, b)
+            except np.linalg.LinAlgError:
+                assert np.isnan(lapack_solve(M, b)).all() and np.isnan(row).all()
+                continue
+            assert lapack_solve(M, b).tobytes() == want.tobytes() == row.tobytes()
+    assert np.isnan(stacked[2]).all()  # the zero matrix
+
+
+def test_lapack_failure_raises_linalgerror_like_numpy(monkeypatch):
+    """Where LAPACK does not converge the gufunc fills NaN and raises the
+    invalid flag; np.linalg.eigh turns that into LinAlgError, and so do the
+    solves that call the gufunc directly, with no RuntimeWarning."""
+    from numpy.linalg import _umath_linalg
+
+    def failed(S, signature=None):  # NaN through 0/0: the invalid flag, as LAPACK's failure sets it
+        return np.zeros(S.shape[:-1]) / 0.0, np.zeros(S.shape) / 0.0
+
+    monkeypatch.setattr(_umath_linalg, "eigh_lo", failed)
+    S, g = np.diag([2.0, 1.0]), np.array([1.0, 1.0])
+    with pytest.raises(np.linalg.LinAlgError) as numpy_error:
+        np.linalg.eigh(S)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: dual_norm_sq(S, g), lambda: pinv_solve(S, g),
+                     lambda: run_newton(make_benchmark("rosenbrock"), ConstantSchedule(1.0), [0.5, 0.5])):
+            with pytest.raises(np.linalg.LinAlgError) as error:
+                call()
+            assert str(error.value) == str(numpy_error.value)
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError, match=str(numpy_error.value)):
+            eigh_solve_batch(np.stack([S, S]), np.stack([g, g]))
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError, match=str(numpy_error.value)):
+            eigh_solve(S, g)

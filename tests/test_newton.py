@@ -21,6 +21,7 @@ from newton_transforms.newton import (
     InducedSchedule,
     NewtonConfig,
     lm_invariance_residual,
+    lm_residuals,
     lm_step,
     run_equivalence,
     run_newton,
@@ -196,6 +197,29 @@ class TestLM:
         loss = make_benchmark("rosenbrock")
         res = lm_invariance_residual(loss, exponential(1.0), [-0.5, 0.5], 0.1)
         assert res > 1e-6
+
+    def test_stacked_residuals_match_one_solve_per_candidate_bit_for_bit(self):
+        # the per-candidate loop that lm_invariance_residual and the lemma3_demo oracle ran
+        def residual(HL, gL, target, lam):
+            try:
+                r = np.linalg.norm(np.linalg.solve(HL + lam * np.eye(len(gL)), gL) - target)
+            except np.linalg.LinAlgError:
+                return np.inf
+            return r if np.isfinite(r) else np.inf
+
+        loss = make_benchmark("rosenbrock")
+        rng = np.random.default_rng(7)
+        decades = np.logspace(-8, 6, 113)
+        lams = np.concatenate([-decades[::-1], [0.0], decades, rng.uniform(-1e3, 1e3, 50), [-2.0, -3.0]])
+        for x in ([-0.5, 0.5], [0.9, 0.7], [0.1, 0.2]):
+            target = lm_step(loss, x, 0.1)
+            _, gL, HL = compose(loss, exponential(1.0)).evaluate(x)
+            for H in (HL, np.diag([2.0, 3.0])):  # H - 2 I and H - 3 I are singular: those rows read inf
+                want = np.array([residual(H, gL, target, lam) for lam in lams])
+                got = lm_residuals(H, gL, target, lams)
+                assert got.tobytes() == want.tobytes()
+                assert all(lm_residuals(H, gL, target, np.array([lam]))[0] == w for lam, w in zip(lams, want))
+        assert np.isinf(lm_residuals(np.diag([2.0, 3.0]), gL, target, np.array([-2.0, -3.0]))).all()
 
     def test_dimension_guard(self):
         loss = as_1d_loss(make_radial("cauchy"))
