@@ -6,16 +6,15 @@ that the asymmetry is below 1e-8 relative; larger drift indicates an upstream
 bug and is rejected.
 
 The ``*_batch`` routines apply the same computation to stacks of N matrices
-and vectors. Every row equals the scalar routine bit for bit: the stacked
-LAPACK eigh and ``np.matmul`` call the same LAPACK/BLAS kernel once per row,
-and row dot products go through ``np.matmul`` rather than ``np.einsum``,
-whose summation order differs from ``ndarray.dot``. Eigendecompositions and
-small solves call the LAPACK gufuncs behind ``np.linalg.eigh`` and
-``np.linalg.solve`` directly, without the wrappers' per-call conversions.
+and vectors. Every row equals the scalar routine bit for bit: the LAPACK eigh
+(called without ``np.linalg``'s wrapper) and ``np.matmul`` run the same kernel
+once per row, and row dot products go through ``np.matmul`` rather than
+``np.einsum``, whose summation order differs from ``ndarray.dot``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -65,12 +64,11 @@ def symmetrize(M):
             if not math.isfinite(big):
                 raise InputError("matrix has non-finite entries")
             S = M / big
-        D, F = (S - S.T).ravel(), S.ravel()  # np.linalg.norm's own reduction, without its wrapper
+        D, F = (S - S.T).ravel(order="K"), S.ravel(order="K")  # np.linalg.norm's own reduction, without its wrapper
         asym = math.sqrt(D.dot(D))
-        if asym > 0.0 and asym > ASYMMETRY_RTOL * math.sqrt(F.dot(F)):
+        if asym > 0.0 and asym > ASYMMETRY_RTOL * math.sqrt(F.dot(F)):  # exact symmetry needs no scale
             raise InputError("matrix asymmetry exceeds 1e-8 relative; refusing to symmetrize")
-    half = 0.5 * M  # (0.5 M)^T is 0.5 M^T, entry for entry
-    return half + half.T
+    return 0.5 * M + 0.5 * M.T
 
 
 def row_dot(a, b):
@@ -99,11 +97,8 @@ def norm_exceeds(x, bound):
         return m > bound or not math.sqrt(x.dot(x)) <= bound
     m = np.maximum.reduce(abs(x), axis=-1)
     settled = ~(m <= bound)
-    x = np.where(settled[..., None], 0.0, x)
-    if bound < _SQUARE_SAFE:
-        return settled | (row_norm(x) > bound)
     s = np.where(settled | (m < _SQUARE_SAFE), 1.0, m)  # scale the rows below the bound whose squares may overflow
-    return settled | (row_norm(x / s[..., None]) * s > bound)
+    return settled | (row_norm(np.where(settled[..., None], 0.0, x) / s[..., None]) * s > bound)
 
 
 def symmetrize_batch(M):
@@ -127,25 +122,19 @@ def symmetrize_batch(M):
     return 0.5 * M + 0.5 * M.transpose(0, 2, 1)
 
 
-def lapack_eigh(S):
-    """np.linalg.eigh(S) of float64 matrices, bit for bit; NaN (and the invalid flag) where LAPACK fails."""
-    return _umath_linalg.eigh_lo(S, signature="d->dd")
-
-
-def lapack_solve(A, b):
-    """np.linalg.solve(A, b) of float64 matrices and one vector, bit for bit; NaN where A is singular."""
-    return _umath_linalg.solve1(A, b, signature="dd->d")
+# np.linalg.eigh(S) and np.linalg.solve(A, b) on float64, bit for bit, without the wrappers; NaN where LAPACK fails
+lapack_eigh = functools.partial(_umath_linalg.eigh_lo, signature="d->dd")
+lapack_solve = functools.partial(_umath_linalg.solve1, signature="dd->d")
 
 
 def eigh_solve_batch(S, G):
     """pinv_solve() for every row without its checks: S (N, d, d) a
     symmetrize_batch result, G (N, d) finite gradients -> P (N, d)."""
     w, V = lapack_eigh(S)
-    aw = abs(w)
-    wmax = np.maximum.reduce(aw, axis=1)
+    wmax = np.maximum.reduce(abs(w), axis=1)
     if math.isnan(np.add.reduce(wmax)):  # a sum of non-negative terms is NaN only through a NaN term
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    keep = (aw >= DEFAULT_PINV_RTOL * wmax[:, None]) & (wmax > 0.0)[:, None]
+    keep = (abs(w) >= DEFAULT_PINV_RTOL * wmax[:, None]) & (wmax > 0.0)[:, None]
     inv = np.zeros_like(w)
     inv[keep] = 1.0 / w[keep]
     VtG = np.matmul(V.transpose(0, 2, 1), G[:, :, None])[:, :, 0]
@@ -191,11 +180,10 @@ def eigh_solve(S, g):
     if wmax == 0.0:
         p, rank = np.zeros_like(g), 0
     else:
-        cut = DEFAULT_PINV_RTOL * wmax
-        if min(map(abs, ws)) >= cut:
+        if min(map(abs, ws)) >= DEFAULT_PINV_RTOL * wmax:
             inv, rank = 1.0 / w, w.size
         else:
-            keep = abs(w) >= cut
+            keep = abs(w) >= DEFAULT_PINV_RTOL * wmax
             inv, rank = np.divide(1.0, w, out=np.zeros_like(w), where=keep), int(np.count_nonzero(keep))
         p = V @ (inv * (V.T @ g))
     gnorm = math.sqrt(g.dot(g))

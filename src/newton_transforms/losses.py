@@ -130,13 +130,12 @@ class RadialLoss:
 
 def _pow(v, e):
     """v**e per element, as the power of one float64 scalar: NumPy's
-    vectorized array power differs from it in the last bit. A Python float
-    powers as float64 does, but raises OverflowError where float64 gives inf."""
+    vectorized array power differs from it in the last bit."""
     if isinstance(v, np.ndarray):
         return np.array([vi**e for vi in v])
     try:
         return v**e
-    except OverflowError:
+    except OverflowError:  # a Python float's power raises where float64's gives inf, and is otherwise the same
         return np.float64(v) ** e
 
 

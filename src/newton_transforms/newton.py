@@ -278,7 +278,7 @@ def run_equivalence(loss, t, base_schedule, x0, cfg=None):
 
     dev = 0.0
     for xf, xl in zip(trace_f.xs, trace_L.xs):
-        if not math.isfinite(sum(xf.tolist()) + sum(xl.tolist())) and not np.isfinite([xf, xl]).all():
+        if not (np.isfinite(xf).all() and np.isfinite(xl).all()):
             break
         d = xf - xl
         dev = max(dev, math.sqrt(d.dot(d)) / (1.0 + math.sqrt(xf.dot(xf))))

@@ -224,22 +224,20 @@ def recipe_lemma3_demo(out_dir):
     target = lm_step(loss, x, lam)
     _, gL, HL = compose(loss, t).evaluate(x)
 
-    def res_at(lphi):
-        return float(lm_residuals(HL, gL, target, np.array([lphi]))[0])
-
     grid = np.concatenate([-np.logspace(-8, 6, 4001)[::-1], [0.0], np.logspace(-8, 6, 4001)])
     vals = lm_residuals(HL, gL, target, grid)
     i = int(np.argmin(vals))
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
     for _ in range(200):
         m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
-        if res_at(m1) < res_at(m2):
+        r1, r2 = lm_residuals(HL, gL, target, np.array([m1, m2]))
+        if r1 < r2:
             hi = m2
         else:
             lo = m1
         if hi - lo < 1e-12:
             break
-    oracle = res_at(0.5 * (lo + hi))
+    oracle = float(lm_residuals(HL, gL, target, np.array([0.5 * (lo + hi)]))[0])
 
     _require(residual > 1e-6, f"LM residual {residual} unexpectedly small")
     _require(abs(residual - oracle) <= 1e-8, f"golden-section {residual} vs dense oracle {oracle}")

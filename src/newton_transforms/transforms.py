@@ -53,8 +53,7 @@ class ScalarTransform:
 
     def require(self, y):
         """y, or DomainError when an f-value in it lies outside the domain."""
-        ok = self.contains(y)
-        if ok is not True and not np.asarray(ok).all():  # the verdict on a Python float is a bool
+        if not np.asarray(self.contains(y)).all():
             raise DomainError(f"transform '{self.name}' undefined at f-value {y}; valid interval {self.valid_interval}")
         return y
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -324,10 +325,14 @@ def test_lapack_failure_raises_linalgerror_like_numpy(monkeypatch):
     solves that call the gufunc directly, with no RuntimeWarning."""
     from numpy.linalg import _umath_linalg
 
+    import newton_transforms.linalg as linalg_module
+
     def failed(S, signature=None):  # NaN through 0/0: the invalid flag, as LAPACK's failure sets it
+        assert signature == "d->dd"
         return np.zeros(S.shape[:-1]) / 0.0, np.zeros(S.shape) / 0.0
 
-    monkeypatch.setattr(_umath_linalg, "eigh_lo", failed)
+    monkeypatch.setattr(_umath_linalg, "eigh_lo", failed)  # np.linalg.eigh looks it up on each call
+    monkeypatch.setattr(linalg_module, "lapack_eigh", functools.partial(failed, signature="d->dd"))  # bound at import
     S, g = np.diag([2.0, 1.0]), np.array([1.0, 1.0])
     with pytest.raises(np.linalg.LinAlgError) as numpy_error:
         np.linalg.eigh(S)
