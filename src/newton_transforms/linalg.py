@@ -114,11 +114,13 @@ def symmetrize_batch(M):
             raise InputError("matrix has non-finite entries")
         rows = np.abs(M).max(axis=(1, 2))
         S = M / np.where(rows < _SQUARE_SAFE, 1.0, rows)[:, None, None]
-    n, d, _ = M.shape
-    scale = row_norm(S.reshape(n, d * d))  # an empty stack has no -1 extent
-    asym = row_norm((S - S.transpose(0, 2, 1)).reshape(n, d * d))
-    if np.any((scale > 0) & (asym > ASYMMETRY_RTOL * scale)):
-        raise InputError("matrix asymmetry exceeds 1e-8 relative; refusing to symmetrize")
+    D = S - S.transpose(0, 2, 1)
+    if D.any():  # an exactly symmetric stack has asymmetry 0, which never rejects
+        n, d, _ = M.shape
+        scale = row_norm(S.reshape(n, d * d))  # an empty stack has no -1 extent
+        asym = row_norm(D.reshape(n, d * d))
+        if np.any((scale > 0) & (asym > ASYMMETRY_RTOL * scale)):
+            raise InputError("matrix asymmetry exceeds 1e-8 relative; refusing to symmetrize")
     return 0.5 * M + 0.5 * M.transpose(0, 2, 1)
 
 
@@ -135,8 +137,7 @@ def eigh_solve_batch(S, G):
     if math.isnan(np.add.reduce(wmax)):  # a sum of non-negative terms is NaN only through a NaN term
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     keep = (abs(w) >= DEFAULT_PINV_RTOL * wmax[:, None]) & (wmax > 0.0)[:, None]
-    inv = np.zeros_like(w)
-    inv[keep] = 1.0 / w[keep]
+    inv = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
     VtG = np.matmul(V.transpose(0, 2, 1), G[:, :, None])[:, :, 0]
     P = np.matmul(V, (inv * VtG)[:, :, None])[:, :, 0]
     P[wmax == 0.0] = 0.0

@@ -3,7 +3,9 @@ feasibility, radial-symmetric robust losses, and 1D fixtures.
 
 Every loss exposes value/gradient/Hessian through a single evaluate() call so
 downstream code (Newton driver, scans, transforms) never differentiates
-anything itself.
+anything itself. The benchmarks, the 1D radial losses and the polytope are one
+formula each for a point and for a stack of points (evaluate_batch), equal bit
+for bit; the polytope stacks its points by their number of active constraints.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ class SmoothLoss:
     A vectorized loss is one formula on coordinate rows (a, b = x): x is the
     list of one point's coordinates as Python floats, or an array (d, N) for
     a stack. _batched(formula) is its _eval_batch. Integer powers go through
-    _pow, the scalar power of each element, so both paths agree bit for bit:
-    Python-float and float64-scalar arithmetic round alike.
+    _pow, which equals the scalar power of each element on arrays too, so both
+    paths agree bit for bit: Python-float and float64-scalar arithmetic round alike.
     """
 
     name: str
@@ -129,10 +131,11 @@ class RadialLoss:
 # ----------------------------------------------------------------------------
 
 def _pow(v, e):
-    """v**e per element, as the power of one float64 scalar: NumPy's
-    vectorized array power differs from it in the last bit."""
+    """v**e per element, as the power of one float64 scalar. For arrays that is
+    np.float_power: both reach the C library's pow, while np.power differs
+    from it in the last bit (tests/test_losses.py checks the identity)."""
     if isinstance(v, np.ndarray):
-        return np.array([vi**e for vi in v])
+        return np.float_power(v, float(e))
     try:
         return v**e
     except OverflowError:  # a Python float's power raises where float64's gives inf, and is otherwise the same
@@ -200,7 +203,7 @@ def _batched(fn):
 
     def ev_batch(X):
         f, g, H = fn(X.T)
-        return f, np.moveaxis(g, -1, 0).copy(), np.moveaxis(H, -1, 0).copy(), np.zeros(len(X), dtype=bool)
+        return f, g.T.copy(), H.transpose(2, 0, 1).copy(), np.zeros(len(X), dtype=bool)
 
     return ev_batch
 
@@ -272,19 +275,30 @@ def make_polytope(rows, offsets, p):
         raise InputError("polytope exponent requires p >= 2 (Hessian continuity)")
     d = A.shape[1]
 
-    def ev(x):
-        s = A @ x - b
-        act = s > 0.0
-        if not act.any():
-            return 0.0, np.zeros(d), np.zeros((d, d))
-        sa = s[act]
-        Aa = A[act]
-        f = float((sa**p).sum())
-        g = p * (sa ** (p - 1)) @ Aa
-        H = p * (p - 1) * (Aa * (sa ** (p - 2))[:, None]).T @ Aa
-        return f, g, H
+    def ev_batch(X):
+        # Rows with the same number k of active constraints form one stack, so
+        # each slice runs the kernels of one point's k active rows.
+        S = np.matmul(A, X[:, :, None])[:, :, 0] - b
+        act = S > 0.0
+        k = np.count_nonzero(act, axis=1)
+        n = len(X)
+        f, G, H = np.zeros(n), np.zeros((n, d)), np.zeros((n, d, d))
+        for kk in np.unique(k[k > 0]).tolist():
+            rows = k == kk
+            mask = act[rows]
+            sa = S[rows][mask].reshape(-1, kk)
+            Aa = A[np.nonzero(mask)[1]].reshape(-1, kk, d)
+            f[rows] = (sa**p).sum(axis=1)
+            G[rows] = np.matmul(p * sa[:, None, :] ** (p - 1), Aa)[:, 0]
+            H[rows] = np.matmul(p * (p - 1) * (Aa * (sa ** (p - 2))[:, :, None]).transpose(0, 2, 1), Aa)
+        return f, G, H, np.zeros(n, dtype=bool)
 
-    return SmoothLoss(name=f"polytope(p={p},n={A.shape[0]},d={d})", dimension=d, _eval=ev, min_value=0.0)
+    def ev(x):
+        f, G, H, _ = ev_batch(x[None])
+        return f[0], G[0], H[0]
+
+    return SmoothLoss(name=f"polytope(p={p},n={A.shape[0]},d={d})", dimension=d, _eval=ev, min_value=0.0,
+                      _eval_batch=ev_batch)
 
 
 def make_polytope_instance(p, seed=1):

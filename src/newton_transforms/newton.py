@@ -211,12 +211,15 @@ def run_newton(loss, schedule, x0, cfg=None):
         tr.termination = termination
         return tr
 
+    def near_min(x):
+        return loss.minimizer is not None and not norm_exceeds(x - loss.minimizer, cfg.xtol)
+
     for k in range(cfg.max_iters + 1):
         try:
             f, g, H = loss.evaluate_point(x)
         except (DomainError, EvaluationError):
-            push(x)
-            return end(DOMAIN_ERROR)
+            push(x)  # on the minimizer, where a loss such as ||x||^1.5 has no Hessian, the run has converged
+            return end(CONVERGED if near_min(x) else DOMAIN_ERROR)
         # a finite sum has finite terms; they are tested one by one only when it is not
         if not math.isfinite(f + sum(g.ravel().tolist()) + sum(H.ravel().tolist())) and not (
                 math.isfinite(f) and np.isfinite(g).all() and np.isfinite(H).all()):
@@ -228,8 +231,7 @@ def run_newton(loss, schedule, x0, cfg=None):
         dual, in_range, _, p, gnorm = eigh_solve(symmetrize(H), g)
         push(x, f, gnorm, dual, in_range)
 
-        near_min = loss.minimizer is not None and not norm_exceeds(x - loss.minimizer, cfg.xtol)
-        if gnorm <= cfg.gtol or near_min:
+        if gnorm <= cfg.gtol or near_min(x):
             return end(CONVERGED)
         if k == cfg.max_iters:
             return end(MAX_ITERS)

@@ -10,6 +10,7 @@ The scans and the sweep run in lockstep: all cells, or all stepsizes, in one
 batch evaluation per step (SmoothLoss.evaluate_batch) and stacked
 pseudoinverse solves. Every cell and sweep row ends bit for bit as the scalar
 path (run_newton, or evaluate, dual_norm_sq and scaling_factor) would leave it.
+The CSV writer formats each axis node once and writes one x-row per call.
 """
 
 from __future__ import annotations
@@ -46,18 +47,17 @@ class GridScan:
     cross_check_cells: int = 0
 
     def write_csv(self, path):
-        value_col = "scaling_sign" if self.kind == "sign" else "converged"
-        ys = self.ys if self.ys is not None else np.array([0.0])
+        sign = self.kind == "sign"
+        value_col = "scaling_sign" if sign else "converged"
+        ys = [format(float(y), ".17g") for y in (self.ys if self.ys is not None else [0.0])]
+        vals = (self.scaling_sign if sign else self.converged.astype(int)).tolist()
+        iters, finals, errors = self.iterations.tolist(), self.final_value.tolist(), self.error.astype(int).tolist()
         with open(path, "w", newline="") as fh:
             fh.write(f"ix,iy,x,y,{value_col},iterations,final_value,error\n")
             for ix, x in enumerate(self.xs):
-                for iy, y in enumerate(ys):
-                    val = self.scaling_sign[ix, iy] if self.kind == "sign" else int(self.converged[ix, iy])
-                    fh.write(
-                        f"{ix},{iy},{format(float(x), '.17g')},{format(float(y), '.17g')},"
-                        f"{val},{self.iterations[ix, iy]},{format(float(self.final_value[ix, iy]), '.17g')},"
-                        f"{int(self.error[ix, iy])}\n"
-                    )
+                x = format(float(x), ".17g")
+                fh.writelines(f"{ix},{iy},{x},{y},{v},{it},{format(fv, '.17g')},{e}\n" for iy, (y, v, it, fv, e)
+                              in enumerate(zip(ys, vals[ix], iters[ix], finals[ix], errors[ix])))
 
 
 def grid_axes(x_range, y_range=None):
@@ -185,7 +185,9 @@ def lockstep_newton(loss, X, alphas, cfg):
         finite = np.isfinite(f) & np.all(np.isfinite(G), axis=1) & np.all(np.isfinite(H), axis=(1, 2))
         ok = ~err & finite
         if not ok.all():
-            retire(err, DOMAIN_ERROR, k, x)
+            near = err & near_of(x)  # an evaluation error on the minimizer ends converged, as in run_newton
+            retire(near, CONVERGED, k, x, near=near)
+            retire(err & ~near, DOMAIN_ERROR, k, x, near=near)
             retire(~err & ~finite, DIVERGED, k, x)
             live, x, a, f, G, H = live[ok], x[ok], a[ok], f[ok], G[ok], H[ok]
         if not live.size:

@@ -219,3 +219,40 @@ def reference_as_point(x, dimension=None):
     if not np.isfinite(p).all():
         raise InputError("point has non-finite entries")
     return p
+
+
+# The grid path's per-row and per-cell code as first written: the polytope's
+# scalar formula, one point and its active rows at a time, and the scan CSV
+# writer that formats every cell afresh. The polytope's stacked formula and
+# GridScan.write_csv must equal them bit for bit and byte for byte.
+
+def reference_polytope(rows, offsets, p, x):
+    """f_p(x) = sum_i (<a_i, x> - b_i)_+^p with its gradient and Hessian."""
+    A, b = np.atleast_2d(np.asarray(rows, dtype=float)), np.asarray(offsets, dtype=float)
+    d = A.shape[1]
+    s = A @ x - b
+    act = s > 0.0
+    if not act.any():
+        return 0.0, np.zeros(d), np.zeros((d, d))
+    sa = s[act]
+    Aa = A[act]
+    f = float((sa**p).sum())
+    g = p * (sa ** (p - 1)) @ Aa
+    H = p * (p - 1) * (Aa * (sa ** (p - 2))[:, None]).T @ Aa
+    return f, g, H
+
+
+def reference_write_csv(scan, path):
+    """GridScan.write_csv, one formatted line per cell."""
+    value_col = "scaling_sign" if scan.kind == "sign" else "converged"
+    ys = scan.ys if scan.ys is not None else np.array([0.0])
+    with open(path, "w", newline="") as fh:
+        fh.write(f"ix,iy,x,y,{value_col},iterations,final_value,error\n")
+        for ix, x in enumerate(scan.xs):
+            for iy, y in enumerate(ys):
+                val = scan.scaling_sign[ix, iy] if scan.kind == "sign" else int(scan.converged[ix, iy])
+                fh.write(
+                    f"{ix},{iy},{format(float(x), '.17g')},{format(float(y), '.17g')},"
+                    f"{val},{scan.iterations[ix, iy]},{format(float(scan.final_value[ix, iy]), '.17g')},"
+                    f"{int(scan.error[ix, iy])}\n"
+                )

@@ -134,10 +134,13 @@ def test_fallback_loss_without_batch_formula():
 
 
 def test_lockstep_terminations_match_run_newton():
-    # Beale under log(1 + f) converges, diverges and hits the cap; Newton on
-    # the quadratic lands exactly on its minimizer, where f^1 is undefined.
+    # Beale under log(1 + f) converges, diverges and hits the cap; under
+    # log(1 + f - 5) runs also step off the domain (Beale below 4); Newton on
+    # the quadratic lands exactly on its minimizer, where f^1 is undefined:
+    # that run has converged.
     quadratic = make_polynorm(np.eye(2), 2)
     cases = [(compose(make_benchmark("beale"), make_table1("logarithmic", a=1.0)), GRIDS["beale"]),
+             (compose(SHIFTED_BEALE, make_table1("logarithmic", a=1.0)), GRIDS["beale"]),
              (compose(quadratic, make_table1("polynomial", r=1.0)), ((-1.0, 1.0, 4), (-0.7, 1.3, 4)))]
     cfg = NewtonConfig(max_iters=CFG.max_iters, gtol=1e-300, xtol=1e-6)
     seen = set()
@@ -151,6 +154,24 @@ def test_lockstep_terminations_match_run_newton():
             seen.add(tr.termination)
     assert seen == {"converged", "diverged", "max_iters", "domain_error"}
     _assert_convergence_matches(quadratic, make_table1("polynomial", r=1.0), (-1.0, 1.0, 4), (-0.7, 1.3, 4))
+
+
+def test_rows_landing_on_a_minimizer_without_hessian_converge():
+    # ||x||^1.5 has no Hessian at 0: the step with alpha = p - 1 = 0.5 lands there
+    loss = make_polynorm(np.eye(2), 1.5)
+    X, alphas = np.array([[1.0, 0.0], [0.0, -2.0], [1.0, 1.0]]), np.array([0.5, 0.5, 0.25])
+    for xstar, want in ((loss.minimizer, CONVERGED), (np.ones(2), DOMAIN_ERROR)):
+        moved = SmoothLoss(loss.name, 2, loss._eval, minimizer=xstar)  # the same error away from the minimizer
+        runs = lockstep_newton(moved, X, alphas, CFG)
+        assert runs.termination[:2].tolist() == [want, want] and runs.iterations[:2].tolist() == [1, 1]
+        assert runs.near_minimizer[:2].tolist() == [want == CONVERGED] * 2
+        for i, (x, alpha) in enumerate(zip(X, alphas)):
+            tr = run_newton(moved, ConstantSchedule(alpha), x, CFG)
+            assert (runs.termination[i], runs.iterations[i]) == (tr.termination, tr.iterations), i
+    # the scan's x = 0 cell is converged and not an error
+    scan = scan_convergence(make_polynorm(np.eye(1), 1.5), None, (-1.0, 1.0, 3))
+    assert scan.converged[:, 0].tolist() == [False, True, False] and not scan.error.any()
+    _assert_convergence_matches(make_polynorm(np.eye(1), 1.5), None, (-1.0, 1.0, 3), None)
 
 
 def _star_runs_reference(loss, X, cfg):
@@ -224,13 +245,16 @@ POLYTOPE_ALPHAS = np.round(np.arange(0.2, 4.50001, 0.2), 10)
 def _sweep_cases(polytope_seeds, n_starts, n_polynorm, alphas):
     """(loss, x0, alphas, cfg) sweeps: polytope instances (no minimizer) at a
     cap of 25; perturbed benchmark starts, the same under f^0.5, a quadratic
-    under f^1 whose unit step lands on f = 0 (a domain error) and random
-    polynorm losses at d = 3, each at the default cap and at 10."""
+    under f^1 whose unit step lands on f = 0 at the minimizer (converged),
+    Beale under star:cauchy, whose psi^-1(f) overflows on some runs (a domain
+    error), and random polynorm losses at d = 3, each at the default cap and
+    at 10."""
     cases = [(*make_polytope_instance(p, seed=seed), POLYTOPE_ALPHAS, NewtonConfig(max_iters=25))
              for seed in polytope_seeds for p in (2, 3, 4, 5)]
     rng = np.random.default_rng(0)
     sqrt = make_table1("polynomial", r=0.5)
-    smooth = [(compose(make_polynorm(np.eye(2), 2), make_table1("polynomial", r=1.0)), np.array([0.7, -0.4]))]
+    smooth = [(compose(make_polynorm(np.eye(2), 2), make_table1("polynomial", r=1.0)), np.array([0.7, -0.4])),
+              (compose(make_benchmark("beale"), transform_from_spec("star:cauchy")), np.array([2.0, 2.0]))]
     for name, start in SWEEP_STARTS.items():
         smooth += [(make_benchmark(name), start + rng.normal(0.0, 0.3, 2)) for _ in range(n_starts)]
         smooth += [(compose(make_benchmark(name), sqrt), start + rng.normal(0.0, 0.3, 2))

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from checks import REFERENCE_BENCHMARKS, check_loss
+from checks import REFERENCE_BENCHMARKS, check_loss, reference_polytope
 from newton_transforms.errors import DomainError, EvaluationError, InputError
 from newton_transforms.losses import (
+    _pow,
     as_1d_loss,
     loss_from_spec,
     make_benchmark,
@@ -150,6 +151,62 @@ class TestPolytope:
         pts = [x for x in sample_points(loss, 80, seed=3)
                if np.min(np.abs(rows @ x - 1.0)) > 1e-2]
         assert pts and check_loss(loss, pts, rtol_hess=5e-4) == []
+
+    @pytest.mark.parametrize("p", [2, 2.5, 3, 4, 5])
+    def test_batch_rows_equal_the_scalar_formula_bit_for_bit(self, p):
+        # Offsets 1 leave no row active at 0; offsets -1 make all 20 active
+        # near 0. Far points overflow s^p.
+        for seed in (1, 2, 3):
+            rng = np.random.default_rng(seed)
+            rows = rng.standard_normal((20, 10))
+            scales = (1e-3, 0.1, 1.0, 10.0, 100.0, 1e80, 1e150, 1e300)
+            X = np.concatenate([rng.standard_normal((40, 10)) * sc for sc in scales] + [np.zeros((1, 10)),
+                               10.0 * np.ones((1, 10))])
+            seen = set()
+            for offsets in (np.ones(20), -np.ones(20)):
+                loss = make_polytope(rows, offsets, p)
+                loss.evaluate = None  # evaluate_batch must not fall back to the per-row loop
+                with np.errstate(over="ignore", invalid="ignore"):
+                    batch = loss.evaluate_batch(X)
+                    assert not batch[3].any()
+                    seen.update(np.count_nonzero(rows @ x - offsets > 0.0) for x in X)
+                    for i, x in enumerate(X):
+                        want = [np.asarray(v, dtype=float).tobytes() for v in reference_polytope(rows, offsets, p, x)]
+                        assert [np.asarray(v).tobytes() for v in loss.evaluate_point(x)] == want, (seed, i)
+                        assert [v[i].tobytes() for v in batch[:3]] == want, (seed, i)
+                assert not np.isfinite(batch[0]).all()
+            assert {0, 20} <= seen and len(seen) > 5
+
+
+class TestPowIdentity:
+    """_pow's array branch (np.float_power) equals the scalar power of each
+    element bit for bit, Python float and float64 alike."""
+
+    @staticmethod
+    def edge_values():
+        rng = np.random.default_rng(0)
+        sign = rng.choice([-1.0, 1.0], 200_000)
+        with np.errstate(over="ignore"):
+            logs = sign * 10.0 ** rng.uniform(-320.0, 310.0, 200_000)
+        tiny = np.finfo(float).smallest_subnormal * np.arange(1, 1001)
+        subnormals = np.concatenate([tiny, np.finfo(float).smallest_normal - tiny, [0.0, 2.0**-1074, 2.0**-1022]])
+        edges = np.finfo(float).max ** (1.0 / np.array([2.0, 3.0, 4.0]))  # where squares, cubes, 4th powers overflow
+        near = np.concatenate([edges[:, None] * (1.0 + 1e-15 * np.arange(-500, 501)),
+                               np.nextafter(edges, 0.0)[:, None], np.nextafter(edges, np.inf)[:, None]], axis=None)
+        values = np.concatenate([logs, subnormals, near, [1.0, 2.0, 0.5]])
+        return np.concatenate([values, -values])
+
+    @pytest.mark.parametrize("e", [2, 3, 4])
+    def test_array_power_equals_scalar_power(self, e):
+        v = self.edge_values()
+        assert {0.0, 1.0, -1.0} <= set(v.tolist()) and np.signbit(v[v == 0.0]).any()
+        with np.errstate(over="ignore", under="ignore"):
+            got = _pow(v, e)
+            as_python = np.array([_pow(vi, e) for vi in v.tolist()])
+            as_float64 = np.array([vi ** e for vi in v])
+        assert got.dtype == float and not np.isfinite(got).all()
+        assert got.tobytes() == as_python.tobytes()
+        assert got.tobytes() == as_float64.tobytes()
 
 
 class TestRadial:

@@ -15,6 +15,7 @@ from newton_transforms.losses import (
 from newton_transforms.newton import (
     CONVERGED,
     DIVERGED,
+    DOMAIN_ERROR,
     BacktrackingSchedule,
     ConstantSchedule,
     ForwardedSchedule,
@@ -57,6 +58,15 @@ class TestRunNewton:
         tr = run_newton(loss, ConstantSchedule(p - 1.0), rng.standard_normal(4))
         assert tr.termination == CONVERGED
         assert tr.iterations == 1
+
+    def test_landing_on_a_minimizer_without_hessian_converges(self):
+        # ||x||^1.5 has no Hessian at 0, where the step with alpha = p - 1 lands exactly
+        loss = make_polynorm(np.eye(2), 1.5)
+        tr = run_newton(loss, ConstantSchedule(0.5), [1.0, 0.0])
+        assert (tr.termination, tr.iterations, tr.final_x.tolist()) == (CONVERGED, 1, [0.0, 0.0])
+        # the same evaluation error away from the known minimizer stays a domain error
+        tr = run_newton(replace(loss, minimizer=np.ones(2)), ConstantSchedule(0.5), [1.0, 0.0])
+        assert (tr.termination, tr.iterations) == (DOMAIN_ERROR, 1)
 
     def test_trace_invariants(self):
         loss = make_benchmark("rosenbrock")

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from checks import reference_write_csv
 from newton_transforms.errors import InputError
 from newton_transforms.linalg import dual_norm_sq
 from newton_transforms.losses import (
@@ -14,6 +15,7 @@ from newton_transforms.losses import (
 )
 from newton_transforms.newton import DIVERGED, ConstantSchedule, NewtonConfig, run_newton
 from newton_transforms.scans import (
+    GridScan,
     best_fixed_stepsize,
     grid_axes,
     scan_convergence,
@@ -173,3 +175,48 @@ class TestTransformOverflow:
                     finite += bool(np.all(np.isfinite(gL)) and np.all(np.isfinite(HL)))
         assert 0 < scan.cross_check_cells == finite < scan.error.size
         assert scan.cross_check_mismatches == 0
+
+
+class TestCsvWriter:
+    """GridScan.write_csv is byte-identical to the per-cell writer it replaced."""
+
+    @staticmethod
+    def assert_same_bytes(scan, tmp_path):
+        scan.write_csv(tmp_path / "new.csv")
+        reference_write_csv(scan, tmp_path / "reference.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_sign_grids(self, tmp_path):
+        beale = make_benchmark("beale")
+        scan = scan_sign_flip(beale, make_table1("polynomial", r=0.5), (-3, 3, 20), (-3, 3, 20))
+        assert set(scan.scaling_sign.ravel().tolist()) == {-1, 1}
+        self.assert_same_bytes(scan, tmp_path)
+        # log(1 + f - 5) is undefined where Beale is below 4: error cells with NaN values
+        scan = scan_sign_flip(compose(beale, make_table1("linear", a=1.0, b=-5.0)), make_table1("logarithmic", a=1.0),
+                              (-3.87, 4.13, 7), (-4.21, 3.79, 7))
+        assert scan.error.any() and np.isnan(scan.final_value).any()
+        self.assert_same_bytes(scan, tmp_path)
+
+    def test_convergence_grid(self, tmp_path):
+        scan = scan_convergence(make_benchmark("goldstein_price"), exponential(0.02), (-4, 4, 10), (-4, 4, 10))
+        assert scan.converged.any() and np.isnan(scan.final_value).any()
+        self.assert_same_bytes(scan, tmp_path)
+
+    def test_1d_grids(self, tmp_path):
+        loss = as_1d_loss(make_radial("cauchy"))
+        self.assert_same_bytes(scan_convergence(loss, None, (-3, 3, 121), cfg=NewtonConfig(max_iters=60)), tmp_path)
+        self.assert_same_bytes(scan_sign_flip(loss, make_table1("polynomial", r=0.5), (-3, 3, 41)), tmp_path)
+
+    @pytest.mark.parametrize("kind", ["sign", "convergence"])
+    def test_negative_zero_nodes_and_non_finite_values(self, kind, tmp_path):
+        xs, ys = np.array([-0.0, 0.0, -1e-300, 1.0 / 3.0]), np.array([-0.0, 2.5e300, -7.0])
+        shape = (4, 3)
+        scan = GridScan(kind=kind, xs=xs, ys=ys,
+                        scaling_sign=np.array([-1, 0, 1] * 4, dtype=np.int8).reshape(shape),
+                        converged=(np.arange(12) % 2 == 0).reshape(shape),
+                        iterations=np.arange(12, dtype=np.int32).reshape(shape),
+                        final_value=np.array([np.nan, -0.0, np.inf, -np.inf, 1e-320, 0.1] * 2).reshape(shape),
+                        error=(np.arange(12) % 3 == 0).reshape(shape))
+        self.assert_same_bytes(scan, tmp_path)
+        self.assert_same_bytes(GridScan(kind, xs, None, *(a[:, :1] for a in (scan.scaling_sign, scan.converged,
+                                        scan.iterations, scan.final_value, scan.error))), tmp_path)
