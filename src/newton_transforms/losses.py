@@ -283,7 +283,7 @@ def make_polytope(rows, offsets, p):
         k = np.count_nonzero(act, axis=1)
         n = len(X)
         f, G, H = np.zeros(n), np.zeros((n, d)), np.zeros((n, d, d))
-        for kk in np.unique(k[k > 0]).tolist():
+        for kk in set(k.tolist()) - {0}:  # not np.unique, whose first call imports numpy.ma (1.7 MB)
             rows = k == kk
             mask = act[rows]
             sa = S[rows][mask].reshape(-1, kk)

@@ -1,6 +1,6 @@
 """Test helpers: finite-difference validation of gradients and Hessians,
-reference formulas of the 2D benchmarks, and the scalar solve as first
-written.
+reference formulas of the 2D benchmarks and the polytope, and the scalar
+solve and the scan CSV writer as first written.
 
 Central differences with step scaling 1 + ||x|| so relative accuracy holds
 across benchmark scales (Goldstein-Price values span 1e6).
