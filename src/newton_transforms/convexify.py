@@ -13,7 +13,7 @@ H + (phi''/phi') g g^T = hess(phi(f)) / phi'(f): same signature as hess L
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Tuple
 
 import numpy as np
@@ -162,16 +162,17 @@ def exp_convexifier(c, f_star):
     if c < 0:
         raise InputError("exponential convexifier requires c >= 0")
     if c == 0.0:
-        t = linear(1.0, -f_star)
-        t.valid_interval = (f_star, np.inf)
-        t.lo_closed = True
-        t.name = f"expconv(c=0,f*={f_star})"
-        return t
+        return replace(linear(1.0, -f_star), name=f"expconv(c=0,f*={f_star})", valid_interval=(f_star, np.inf),
+                       lo_closed=True)
+
+    def jet(y):
+        u = c * (y - f_star)
+        e = np.exp(u)
+        return np.expm1(u) / c, e, c * e
+
     return ScalarTransform(
         name=f"expconv(c={c:g},f*={f_star:g})",
-        phi=lambda y: np.expm1(c * (y - f_star)) / c,
-        phi_prime=lambda y: np.exp(c * (y - f_star)),
-        phi_double_prime=lambda y: c * np.exp(c * (y - f_star)),
+        jet=jet,
         valid_interval=(f_star, np.inf),
         lo_closed=True,
         ratio_fn=constant(c),
@@ -195,18 +196,18 @@ def nested_bound_convexifier(h, f_star, y_max):
 
     phi_cum = CumulativeIntegral(phi_prime, f_star, y_max)
 
-    def each(fn):  # h and the tables take floats: the loop over an array's elements stays here
-        loop = np.vectorize(fn, otypes=[float])
-        return lambda y: loop(y)[()]
+    def jet(y):
+        p1 = phi_prime(y)
+        return phi_cum(y), p1, float(h(y)) * p1
 
+    # h and the tables take floats: the loop over an array's elements stays here
+    loop, rate = np.vectorize(jet, otypes=[float] * 3), np.vectorize(h, otypes=[float])
     return ScalarTransform(
         name=f"nestedconv(f*={f_star:g})",
-        phi=each(phi_cum),
-        phi_prime=each(phi_prime),
-        phi_double_prime=each(lambda y: float(h(y)) * phi_prime(y)),
+        jet=lambda y: tuple(v[()] for v in loop(y)),
         valid_interval=(f_star, y_max),
         lo_closed=True,
-        ratio_fn=each(lambda y: float(h(y))),
+        ratio_fn=lambda y: rate(y)[()],
     )
 
 

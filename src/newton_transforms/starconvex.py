@@ -164,40 +164,32 @@ def radial_star_loss(radial):
         min_value=f_star,
         _eval_batch=ev_batch,
     )
-    return loss, _star_transform_from_profile(radial, integral, integrals)
+    return loss, _star_transform_from_profile(radial, integrals)
 
 
-def _star_transform_from_profile(radial, integral, integrals):
+def _star_transform_from_profile(radial, integrals):
     f_star = float(radial.psi(0.0))
 
-    def phi(cval):
-        r = radial.psi_inverse(cval)
-        return f_star + r * integral(r)
-
-    def phi_prime(cval):
-        # appendix form 1 + (psi^{-1})'(c) * I = 1 + I(r)/psi'(r), with its limit 2 at r = 0
-        r = radial.psi_inverse(cval)
-        with np.errstate(invalid="ignore"):
-            return np.where(r == 0.0, 2.0, 1.0 + integral(r) / radial.psi_prime(r))[()]
-
-    def phi_double_prime(cval):
-        # d/dc of phi' = (psi^{-1})'' I + (psi^{-1})'/psi^{-1}
-        #             = [psi'^2 - r psi'' I] / (r psi'^3)
+    def jet(cval):
+        # phi' in the appendix form 1 + (psi^{-1})'(c) * I = 1 + I(r)/psi'(r), with its limit 2 at r = 0;
+        # phi'' = d/dc of phi' = (psi^{-1})'' I + (psi^{-1})'/psi^{-1}
+        #       = [psi'^2 - r psi'' I] / (r psi'^3)
         # evaluated via I = psi' - K, which keeps the r -> 0 cancellation O(r^3)
         # instead of O(r); one factor psi' at a time, as psi'^3 underflows far out.
-        # At c = 0 a tiny r approaches the limit -4b/(3a^2) smoothly.
+        # At c = 0 a tiny r approaches the limit -4b/(3a^2) smoothly. All three read one [I, K]
+        # at r floored to 1e-8 at 0, where phi multiplies I by r = 0 and phi' takes its limit.
         r = radial.psi_inverse(cval)
-        r = np.where(r == 0.0, 1e-8, r)[()]
-        p1 = radial.psi_prime(r)
-        p2 = radial.psi_double_prime(r)
-        num = p1 * (p1 - r * p2) + r * p2 * integrals(r)[1]
-        return num / p1 / p1 / (r * p1)
+        rr = np.where(r == 0.0, 1e-8, r)[()]
+        I, K = integrals(rr)
+        p1 = radial.psi_prime(rr)
+        p2 = radial.psi_double_prime(rr)
+        num = p1 * (p1 - rr * p2) + rr * p2 * K
+        return (f_star + r * I, np.where(r == 0.0, 2.0, 1.0 + I / p1)[()],
+                num / p1 / p1 / (rr * p1))
 
     return ScalarTransform(
         name=f"star({radial.name})",
-        phi=phi,
-        phi_prime=phi_prime,
-        phi_double_prime=phi_double_prime,
+        jet=jet,
         # the domain also ends where psi^{-1} overflows: Cauchy's sqrt(expm1(c)) past log(DBL_MAX)
         valid_interval=(0.0, float(min(radial.psi_sup, np.nextafter(np.log(np.finfo(float).max), np.inf)))),
         lo_closed=True,
@@ -207,7 +199,7 @@ def _star_transform_from_profile(radial, integral, integrals):
 def make_star_transform(name):
     """Table-2 star transform by radial-loss name (geman_mcclure/welsh/cauchy)."""
     radial = make_radial(name)
-    return _star_transform_from_profile(radial, *_radial_integrals(radial))
+    return _star_transform_from_profile(radial, _radial_integrals(radial)[1])
 
 
 # ----------------------------------------------------------------------------

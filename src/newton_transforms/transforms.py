@@ -32,19 +32,31 @@ SCALING_QUALIFIED_TOL = 1e-6
 class ScalarTransform:
     """Monotone scalar map with derivatives and a validity interval.
 
-    phi, phi_prime, phi_double_prime and ratio_fn take a float or an ndarray of
-    f-values and give the same bits either way, element for element: one NumPy
-    formula serves the scalar driver and every batch. phi_prime must be positive
-    on valid_interval; lo_closed admits its left end (convexifiers at f(x*)).
+    jet(y) gives (phi, phi', phi'') at once, each computed from what they
+    share; jet and ratio_fn take a float or an ndarray of f-values and give
+    the same bits either way, element for element: one NumPy formula serves
+    the scalar driver and every batch. phi' must be positive on
+    valid_interval; lo_closed admits its left end (convexifiers at f(x*)).
     """
 
     name: str
-    phi: Callable[[float], float]
-    phi_prime: Callable[[float], float]
-    phi_double_prime: Callable[[float], float]
+    jet: Callable[[float], Tuple[float, float, float]]
     valid_interval: Tuple[float, float] = (-np.inf, np.inf)
     lo_closed: bool = False
     ratio_fn: Optional[Callable[[float], float]] = None
+
+    # One component of the jet: the other two are computed as well, and their overflow is not this caller's.
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
+    def phi(self, y):
+        return self.jet(y)[0]
+
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
+    def phi_prime(self, y):
+        return self.jet(y)[1]
+
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
+    def phi_double_prime(self, y):
+        return self.jet(y)[2]
 
     def contains(self, y):
         """The domain rule, element by element: y is finite and inside valid_interval."""
@@ -63,7 +75,8 @@ class ScalarTransform:
         self.require(y)
         if self.ratio_fn is not None:
             return self.ratio_fn(y)
-        return self.phi_double_prime(y) / self.phi_prime(y)
+        _, p1, p2 = self.jet(y)
+        return p2 / p1
 
 
 def constant(c):
@@ -74,13 +87,12 @@ def constant(c):
 def linear(a, b=0.0):
     if a <= 0:
         raise InputError("linear transform requires slope a > 0")
-    return ScalarTransform(
-        name=f"linear(a={a},b={b})",
-        phi=lambda y: a * y + b,
-        phi_prime=constant(a),
-        phi_double_prime=constant(0.0),
-        ratio_fn=constant(0.0),
-    )
+
+    def jet(y):
+        z = 0.0 * y  # constant derivatives in the shape of y, exactly for every finite y
+        return a * y + b, a + z, 0.0 + z
+
+    return ScalarTransform(name=f"linear(a={a},b={b})", jet=jet, ratio_fn=constant(0.0))
 
 
 def polynomial(r):
@@ -90,9 +102,7 @@ def polynomial(r):
         raise InputError("polynomial transform rejects the degenerate exponent r = 0")
     return ScalarTransform(
         name=f"poly(r={r})",
-        phi=lambda y: np.power(y, r),
-        phi_prime=lambda y: r * np.power(y, r - 1),
-        phi_double_prime=lambda y: r * (r - 1) * np.power(y, r - 2),
+        jet=lambda y: (np.power(y, r), r * np.power(y, r - 1), r * (r - 1) * np.power(y, r - 2)),
         valid_interval=(0.0, np.inf),
         ratio_fn=lambda y: (r - 1) / y,
     )
@@ -101,21 +111,22 @@ def polynomial(r):
 def exponential(a):
     if a <= 0:
         raise InputError("exponential transform requires rate a > 0")
-    return ScalarTransform(
-        name=f"exp(a={a})",
-        phi=lambda y: np.exp(a * y),
-        phi_prime=lambda y: a * np.exp(a * y),
-        phi_double_prime=lambda y: a * a * np.exp(a * y),
-        ratio_fn=constant(a),
-    )
+
+    def jet(y):
+        e = np.exp(a * y)
+        return e, a * e, a * a * e
+
+    return ScalarTransform(name=f"exp(a={a})", jet=jet, ratio_fn=constant(a))
 
 
 def logarithmic(a):
+    def jet(y):
+        u = a + y
+        return np.log(u), 1.0 / u, -1.0 / np.square(u)
+
     return ScalarTransform(
         name=f"log(a={a})",
-        phi=lambda y: np.log(a + y),
-        phi_prime=lambda y: 1.0 / (a + y),
-        phi_double_prime=lambda y: -1.0 / np.square(a + y),
+        jet=jet,
         valid_interval=(-a, np.inf),
         ratio_fn=lambda y: -1.0 / (a + y),
     )
@@ -127,17 +138,12 @@ def _sigma(y):
 
 
 def sigmoid():
-    def prime(y):
+    def jet(y):
         s = _sigma(y)
-        return s * (1.0 - s)
+        p1 = s * (1.0 - s)
+        return s, p1, p1 * (1.0 - 2.0 * s)
 
-    return ScalarTransform(
-        name="sigmoid",
-        phi=_sigma,
-        phi_prime=prime,
-        phi_double_prime=lambda y: prime(y) * (1.0 - 2.0 * _sigma(y)),
-        ratio_fn=lambda y: 1.0 - 2.0 * _sigma(y),
-    )
+    return ScalarTransform(name="sigmoid", jet=jet, ratio_fn=lambda y: 1.0 - 2.0 * _sigma(y))
 
 
 #: The Table-1 transform factories by kind name.
@@ -173,17 +179,16 @@ def compose(base, t):
         f, g, H = base.evaluate_point(x)  # the composed loss has checked x
         if g.shape != H.shape[:-1]:  # before the chain rule's broadcasting fails on it
             raise InputError(f"gradient shape {g.shape} does not match matrix shape {H.shape}")
-        t.require(f)
-        p1, p2 = t.phi_prime(f), t.phi_double_prime(f)
+        phi, p1, p2 = t.jet(t.require(f))
         composed.base_eval = (base, x, f, g, H, p1)  # for ForwardedSchedule at this very x
-        return t.phi(f), p1 * g, p1 * H + p2 * (g[:, None] * g)
+        return phi, p1 * g, p1 * H + p2 * (g[:, None] * g)
 
     def ev_batch(X):
         f, G, H, err = base.evaluate_batch(X)
         err |= ~t.contains(f)
         ok, y = ~err, f[~err]
         phi, p1, p2 = np.full((3, len(f)), np.nan)
-        phi[ok], p1[ok], p2[ok] = t.phi(y), t.phi_prime(y), t.phi_double_prime(y)
+        phi[ok], p1[ok], p2[ok] = t.jet(y)
         G = np.where(err[:, None], np.nan, G)
         return (phi, p1[:, None] * G,
                 p1[:, None, None] * H + p2[:, None, None] * (G[:, :, None] * G[:, None, :]), err)

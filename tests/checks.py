@@ -1,6 +1,7 @@
 """Test helpers: finite-difference validation of gradients and Hessians,
-reference formulas of the 2D benchmarks and the polytope, and the scalar
-solve and the scan CSV writer as first written.
+reference formulas of the 2D benchmarks and the polytope, the scalar solve,
+the scan CSV writer and the per-derivative transform formulas as first
+written.
 
 Central differences with step scaling 1 + ||x|| so relative accuracy holds
 across benchmark scales (Goldstein-Price values span 1e6).
@@ -14,6 +15,9 @@ import numpy as np
 
 from newton_transforms.errors import DomainError, EvaluationError, InputError
 from newton_transforms.linalg import _SQUARE_SAFE, ASYMMETRY_RTOL, DEFAULT_PINV_RTOL, DualNormResult, row_norm
+from newton_transforms.losses import make_radial
+from newton_transforms.quadrature import CumulativeIntegral
+from newton_transforms.starconvex import _radial_integrals
 
 
 def _central_differences(fn, x):
@@ -256,3 +260,83 @@ def reference_write_csv(scan, path):
                     f"{val},{scan.iterations[ix, iy]},{format(float(scan.final_value[ix, iy]), '.17g')},"
                     f"{int(scan.error[ix, iy])}\n"
                 )
+
+
+# The transforms as first written: (phi, phi', phi'') as three formulas, one
+# lambda each, every one recomputing what it shares with the others. Each
+# component of a transform's jet must equal its formula here bit for bit, on
+# a float and element for element on an array.
+
+def reference_linear(a, b=0.0):
+    return (lambda y: a * y + b, lambda y: a + 0.0 * y, lambda y: 0.0 + 0.0 * y)
+
+
+def reference_polynomial(r):
+    return (lambda y: np.power(y, r), lambda y: r * np.power(y, r - 1), lambda y: r * (r - 1) * np.power(y, r - 2))
+
+
+def reference_exponential(a):
+    return (lambda y: np.exp(a * y), lambda y: a * np.exp(a * y), lambda y: a * a * np.exp(a * y))
+
+
+def reference_logarithmic(a):
+    return (lambda y: np.log(a + y), lambda y: 1.0 / (a + y), lambda y: -1.0 / np.square(a + y))
+
+
+def _reference_sigma(y):
+    return np.exp(np.minimum(y, 0.0)) / (1.0 + np.exp(-abs(y)))
+
+
+def reference_sigmoid():
+    def prime(y):
+        s = _reference_sigma(y)
+        return s * (1.0 - s)
+
+    return (_reference_sigma, prime, lambda y: prime(y) * (1.0 - 2.0 * _reference_sigma(y)))
+
+
+def reference_exp_convexifier(c, f_star):
+    if c == 0.0:
+        return reference_linear(1.0, -f_star)
+    return (lambda y: np.expm1(c * (y - f_star)) / c, lambda y: np.exp(c * (y - f_star)),
+            lambda y: c * np.exp(c * (y - f_star)))
+
+
+def reference_nested_bound_convexifier(h, f_star, y_max):
+    H_cum = CumulativeIntegral(h, f_star, y_max)
+
+    def phi_prime(y):
+        return float(np.exp(H_cum(y)))
+
+    phi_cum = CumulativeIntegral(phi_prime, f_star, y_max)
+
+    def each(fn):
+        loop = np.vectorize(fn, otypes=[float])
+        return lambda y: loop(y)[()]
+
+    return (each(phi_cum), each(phi_prime), each(lambda y: float(h(y)) * phi_prime(y)))
+
+
+def reference_star_transform(name):
+    radial = make_radial(name)
+    integral, integrals = _radial_integrals(radial)
+    f_star = float(radial.psi(0.0))
+
+    def phi(cval):
+        r = radial.psi_inverse(cval)
+        return f_star + r * integral(r)
+
+    def phi_prime(cval):
+        r = radial.psi_inverse(cval)
+        with np.errstate(invalid="ignore"):
+            return np.where(r == 0.0, 2.0, 1.0 + integral(r) / radial.psi_prime(r))[()]
+
+    def phi_double_prime(cval):
+        r = radial.psi_inverse(cval)
+        r = np.where(r == 0.0, 1e-8, r)[()]
+        p1 = radial.psi_prime(r)
+        p2 = radial.psi_double_prime(r)
+        num = p1 * (p1 - r * p2) + r * p2 * integrals(r)[1]
+        return num / p1 / p1 / (r * p1)
+
+    return (phi, phi_prime, phi_double_prime)

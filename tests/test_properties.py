@@ -20,11 +20,11 @@ from hypothesis import strategies as st
 from newton_transforms.cli import build_parser, main
 from newton_transforms.errors import InputError
 from newton_transforms.linalg import dual_norm_sq, norm_exceeds
-from newton_transforms.losses import SmoothLoss, known_loss_names, loss_from_spec, make_benchmark
+from newton_transforms.losses import SmoothLoss, known_loss_names, loss_from_spec, make_benchmark, make_polynorm
 from newton_transforms.newton import (CONVERGED, SINGULAR_SCALING, ConstantSchedule, ForwardedSchedule, InducedSchedule,
                                       NewtonConfig, StepState, run_equivalence, run_newton)
 from newton_transforms.recipes import EQUIVALENCE_PARAMS
-from newton_transforms.scans import RADIUS_TOL, grid_axes, scan_convergence
+from newton_transforms.scans import RADIUS_TOL, grid_axes, lockstep_newton, scan_convergence
 from newton_transforms.transforms import (
     SCALING_QUALIFIED_TOL,
     ScalarTransform,
@@ -33,6 +33,7 @@ from newton_transforms.transforms import (
     induced_stepsize,
     known_transform_specs,
     make_table1,
+    polynomial,
     scaling_factor,
 )
 
@@ -293,6 +294,33 @@ def test_reciprocity_of_the_scaling_factor(lname, kind_params, x):
 
 
 # ----------------------------------------------------------------------------
+# The paper's stepsize law: alpha* = p - 1 on polynorm losses
+# ----------------------------------------------------------------------------
+
+@settings(max_examples=100, **SETTINGS)
+@given(p=st.sampled_from([0.3, 0.5, 0.75, 1.5, 3.0, 4.0, 6.0]), d=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
+       log_scale=st.floats(-3.0, 3.0))
+def test_one_step_with_alpha_p_minus_1_lands_on_the_polynorm_minimizer(p, d, seed, log_scale):
+    """For f = (1/p) ||x||_A^p, phi(y) = y^(2/p) makes phi(f) a quadratic, so
+    the scaling factor is s = 1 + (phi''/phi') <g, H^+ g> = 1/(p - 1) at every
+    x != 0 and one Newton step on f with alpha = p - 1 lands on 0: stepsizes
+    above one for p > 2 and negative ones for p < 1. Both engines end such a
+    run converged within one step."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((d, d))
+    loss = make_polynorm(M @ M.T + d * np.eye(d), p)
+    u = rng.standard_normal(d)
+    x0 = 10.0**log_scale * u / np.linalg.norm(u)
+    f, g, H = loss.evaluate(x0)
+    s = scaling_factor(polynomial(2.0 / p), f, dual_norm_sq(H, g).value)
+    assert abs(s * (p - 1.0) - 1.0) <= 1e-12
+    trace = run_newton(loss, ConstantSchedule(p - 1.0), x0)
+    assert trace.termination == CONVERGED and trace.iterations <= 1
+    runs = lockstep_newton(loss, x0[None], [p - 1.0], NewtonConfig())
+    assert runs.termination[0] == CONVERGED and runs.iterations[0] == trace.iterations
+
+
+# ----------------------------------------------------------------------------
 # The forwarded scaling from the driven solve
 # ----------------------------------------------------------------------------
 
@@ -362,8 +390,8 @@ def test_forwarded_run_survives_a_zero_phi_prime():
     """A Python-float phi' of 0 makes the shortcut's q_L / phi' infinite in
     float64, not a ZeroDivisionError: the base solve takes over, and a run
     reaching such an iterate ends with a recorded termination."""
-    flat = ScalarTransform("flat_above_1", phi=lambda y: min(y, 1.0), phi_prime=lambda y: 1.0 if y < 1.0 else 0.0,
-                           phi_double_prime=lambda y: 0.0, ratio_fn=lambda y: 0.0)
+    flat = ScalarTransform("flat_above_1", jet=lambda y: (min(y, 1.0), 1.0 if y < 1.0 else 0.0, 0.0),
+                           ratio_fn=lambda y: 0.0)
     loss = make_benchmark("rosenbrock")
     trace = run_newton(compose(loss, flat), ForwardedSchedule(1.0, flat, loss), [0.5, 0.2], NewtonConfig(max_iters=12))
     assert trace.values[0] < 1.0 <= loss.value(trace.final_x)  # phi' = 0 at the last iterate

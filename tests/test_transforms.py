@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
 
-from checks import check_loss, check_transform
+from checks import (
+    check_loss,
+    check_transform,
+    reference_exp_convexifier,
+    reference_exponential,
+    reference_linear,
+    reference_logarithmic,
+    reference_nested_bound_convexifier,
+    reference_polynomial,
+    reference_sigmoid,
+    reference_star_transform,
+)
 from newton_transforms.convexify import exp_convexifier, nested_bound_convexifier
 from newton_transforms.errors import DomainError, EvaluationError, InputError, SingularScalingError
 from newton_transforms.losses import as_1d_loss, make_benchmark, make_radial
@@ -213,15 +224,25 @@ class TestSpecStrings:
             transform_from_spec("fourier:n=3")
 
 
+def _bound(y):
+    return 1.0 / (1.0 + y)
+
+
 # Every factory: the five Table-1 kinds, both exponential-convexifier forms,
-# the nested-bound convexifier and the three star transforms.
-ORACLE_TRANSFORMS = [
-    linear(2.0, 1.0), polynomial(0.5), polynomial(-1.75), polynomial(2.0), polynomial(3.0), exponential(0.5),
-    logarithmic(1.0), sigmoid(), exp_convexifier(0.0, 1.0), exp_convexifier(2.0, 1.0),
-    nested_bound_convexifier(lambda y: 1.0 / (1.0 + y), 0.0, 3.0),
-    transform_from_spec("star:geman_mcclure"), transform_from_spec("star:welsh"),
-    transform_from_spec("star:cauchy"),
+# the nested-bound convexifier and the three star transforms, each with its
+# per-derivative formulas as first written.
+ORACLE_PAIRS = [
+    (linear(2.0, 1.0), reference_linear(2.0, 1.0)),
+    *((polynomial(r), reference_polynomial(r)) for r in (0.5, -1.75, 2.0, 3.0)),
+    (exponential(0.5), reference_exponential(0.5)),
+    (logarithmic(1.0), reference_logarithmic(1.0)),
+    (sigmoid(), reference_sigmoid()),
+    *((exp_convexifier(c, 1.0), reference_exp_convexifier(c, 1.0)) for c in (0.0, 2.0)),
+    (nested_bound_convexifier(_bound, 0.0, 3.0), reference_nested_bound_convexifier(_bound, 0.0, 3.0)),
+    *((transform_from_spec(f"star:{name}"), reference_star_transform(name))
+      for name in ("geman_mcclure", "welsh", "cauchy")),
 ]
+ORACLE_TRANSFORMS = [t for t, _ in ORACLE_PAIRS]
 
 
 def _oracle_values(t):
@@ -263,6 +284,24 @@ def test_array_calls_equal_scalar_calls_bit_for_bit(t):
             assert batch.tobytes() == np.array([fn(v) for v in y.tolist()], dtype=float).tobytes()
     with pytest.raises(DomainError):
         t.require(ys)
+
+
+@pytest.mark.parametrize("t, reference", ORACLE_PAIRS, ids=[t.name for t in ORACLE_TRANSFORMS])
+def test_jet_equals_the_per_derivative_formulas_bit_for_bit(t, reference):
+    """Each jet computes its shared part once, and each of its components
+    stays the expression first written: phi, phi' and phi'' equal the three
+    reference formulas bit for bit, on every float of the domain and on the
+    array of them."""
+    ys = _oracle_values(t)
+    y = ys[t.contains(ys)]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for part, formula in zip(t.jet(y), reference, strict=True):
+            expected = formula(y)
+            assert part.shape == expected.shape == y.shape
+            assert part.tobytes() == expected.tobytes()
+        for v in y.tolist():
+            got = [np.float64(part).tobytes() for part in t.jet(v)]
+            assert got == [np.float64(formula(v)).tobytes() for formula in reference], v
 
 
 def test_star_cauchy_domain_ends_where_psi_inverse_overflows():
