@@ -26,7 +26,9 @@ from .newton import (
     ForwardedSchedule,
     InducedSchedule,
     NewtonConfig,
+    _fmt,
     run_newton,
+    write_csv,
 )
 from .recipes import RECIPES, RecipeError, run_recipe, write_lines
 from .scans import best_fixed_stepsize, scan_convergence, scan_sign_flip
@@ -143,7 +145,7 @@ def cmd_run(args):
     path = _out_path(args, "trace.csv")
     trace.write_csv(path)
     print(f"termination={trace.termination} iterations={trace.iterations} "
-          f"final_x={','.join(format(v, '.17g') for v in trace.final_x)} -> {path}")
+          f"final_x={','.join(map(_fmt, trace.final_x))} -> {path}")
     return 0
 
 
@@ -161,10 +163,8 @@ def cmd_convexify(args):
     x, f, G, H = grid[~skip, 0], f[~skip], G[~skip], H[~skip]
     Hs, Hc = symmetrize_batch(H), symmetrize_batch(H + c * (G[:, :, None] * G[:, None, :]))
     cols = (x, f, strict_schaible_batch(G, Hs), np.linalg.eigvalsh(Hs)[:, 0], np.linalg.eigvalsh(Hc)[:, 0])
-    rows = ["x,f,r,min_eig_before,min_eig_after,c"]
-    rows += [",".join(format(v, ".17g") for v in (*row, c)) for row in zip(*cols)]
     path = _out_path(args, "convexify_report.csv")
-    write_lines(path, rows)
+    write_csv(path, "x,f,r,min_eig_before,min_eig_after,c", ((*row, c) for row in zip(*cols)))
     rep = verify_convexified(loss, t, grid, stack)
     print(f"c={c:.17g} min_eig_after={rep.min_eig:.17g} passed={rep.passed} -> {path}")
     return 0 if rep.passed else NUMERICAL_ERROR
@@ -194,7 +194,7 @@ def cmd_starcheck(args):
     loss, t = radial_star_loss(radial)
     rng = np.random.default_rng(args.seed)
     xs = rng.uniform(-2.5, 2.5, size=args.points)
-    rows = ["x,line_integral,closed_profile,transform_of_value,star_slack_min"]
+    rows = []
     worst_gap = 0.0
     worst_slack = np.inf
     for x in xs:
@@ -207,9 +207,9 @@ def cmd_starcheck(args):
         )
         worst_gap = max(worst_gap, abs(li - closed), abs(tv - closed))
         worst_slack = min(worst_slack, slack)
-        rows.append(",".join(format(v, ".17g") for v in (x, li, closed, tv, slack)))
+        rows.append((x, li, closed, tv, slack))
     path = _out_path(args, "starcheck.csv")
-    write_lines(path, rows)
+    write_csv(path, "x,line_integral,closed_profile,transform_of_value,star_slack_min", rows)
     ok = worst_gap <= 1e-6 and worst_slack >= -1e-10
     print(f"max_gap={worst_gap:.3g} min_star_slack={worst_slack:.3g} passed={ok} -> {path}")
     return 0 if ok else NUMERICAL_ERROR

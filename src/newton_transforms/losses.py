@@ -96,12 +96,6 @@ class SmoothLoss:
             return float(self._value(x))
         return self.evaluate_point(x)[0]
 
-    def gradient(self, x):
-        return self.evaluate(x)[1]
-
-    def hessian(self, x):
-        return self.evaluate(x)[2]
-
 
 @dataclass
 class RadialLoss:

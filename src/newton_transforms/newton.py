@@ -40,8 +40,9 @@ class NewtonConfig:
     divergence_radius: float = 1e6
 
     def __post_init__(self):
-        if min(self.max_iters, self.gtol, self.xtol, self.divergence_radius) <= 0:
-            raise InputError("all NewtonConfig fields must be positive")
+        fields = (self.max_iters, self.gtol, self.xtol, self.divergence_radius)  # not min(fields): it skips NaN
+        if not (isinstance(self.max_iters, (int, np.integer)) and all(v > 0 for v in fields)):
+            raise InputError("NewtonConfig fields must be positive and max_iters an integer")
 
 
 @dataclass(slots=True)
@@ -86,14 +87,10 @@ class IterateTrace:
         return min(vals) if vals else np.inf
 
     def write_csv(self, path):
-        d = len(self.xs[0])
-        header = ["k"] + [f"x_{i}" for i in range(d)] + ["f", "grad_norm", "alpha", "scaling", "dual_sq", "termination"]
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for k, x in enumerate(self.xs):
-                row = [k, *x, self.values[k], self.grad_norms[k], self.alphas[k], self.scalings[k], self.dual_sqs[k],
-                       self.termination]
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        header = ",".join(["k", *(f"x_{i}" for i in range(len(self.xs[0]))), "f", "grad_norm", "alpha", "scaling",
+                           "dual_sq", "termination"])
+        write_csv(path, header, ([k, *x, self.values[k], self.grad_norms[k], self.alphas[k], self.scalings[k],
+                                  self.dual_sqs[k], self.termination] for k, x in enumerate(self.xs)))
 
 
 def _fmt(v):
@@ -102,6 +99,15 @@ def _fmt(v):
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return format(float(v), ".17g")
+
+
+def write_csv(path, header, rows):
+    """CSV of a header line and one line per row: strings as they are, ints
+    as ints, every other value as a float to 17 significant digits."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 # ----------------------------------------------------------------------------

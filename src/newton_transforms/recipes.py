@@ -29,6 +29,7 @@ from .newton import (
     lm_step,
     run_equivalence,
     run_newton,
+    write_csv,
 )
 from .scans import best_fixed_stepsize, scan_convergence, scan_sign_flip
 from .starconvex import convergence_radius, convexity_radius, radial_star_loss
@@ -145,19 +146,19 @@ def recipe_fig3(out_dir, n=50):
 def recipe_table1_check(out_dir):
     """Per-transform equivalence deviations over the benchmark runs."""
     cfg = NewtonConfig(max_iters=12)
-    rows = ["transform,loss,alpha,n_common,max_deviation,qualified"]
+    rows = []
     worst = 0.0
     for tname, params in EQUIVALENCE_PARAMS.items():
         for lname, x0 in EQUIVALENCE_STARTS.items():
             for alpha in (0.25, 0.5, 1.0):
                 res = run_equivalence(make_benchmark(lname), make_table1(tname, **params),
                                       ConstantSchedule(alpha), x0, cfg)
-                rows.append(f"{tname},{lname},{alpha},{res.n_common},{res.max_deviation:.17g},{int(res.qualified)}")
+                rows.append((tname, lname, str(alpha), res.n_common, res.max_deviation, int(res.qualified)))
                 if res.qualified:
                     worst = max(worst, res.max_deviation)
                     _require(res.max_deviation <= 1e-8,
                              f"{tname} on {lname} (alpha={alpha}) deviates by {res.max_deviation}")
-    write_lines(_path(out_dir, "table1_check.csv"), rows)
+    write_csv(_path(out_dir, "table1_check.csv"), "transform,loss,alpha,n_common,max_deviation,qualified", rows)
     return {"worst_deviation": worst}
 
 
@@ -174,14 +175,14 @@ def recipe_table3(out_dir):
         ("welsh", "transformed"): 1.0,
         ("cauchy", "transformed"): np.inf,
     }
-    rows = ["loss,variant,convexity_radius,empirical_basin_radius,basin_monotone"]
+    rows = []
     out = {}
     for name in RADIAL:
         radial = make_radial(name)
         for variant, loss in (("original", as_1d_loss(radial)), ("transformed", radial_star_loss(radial)[0])):
             conv = convexity_radius(loss, bracket_hi=4.0)
             basin = convergence_radius(loss, bracket_hi=4.0)
-            rows.append(f"{name},{variant},{conv.radius:.17g},{basin.radius:.17g},{int(basin.monotone)}")
+            rows.append((name, variant, conv.radius, basin.radius, int(basin.monotone)))
             want = reported[(name, variant)]
             if np.isinf(want):
                 _require(np.isinf(conv.radius), f"{name} {variant}: convexity radius {conv.radius}, expected inf")
@@ -189,25 +190,26 @@ def recipe_table3(out_dir):
                 _require(abs(conv.radius - want) <= 1e-3,
                          f"{name} {variant}: convexity radius {conv.radius} vs reported {want}")
             out[(name, variant)] = (conv.radius, basin.radius)
-    write_lines(_path(out_dir, "table3_radii.csv"), rows)
+    write_csv(_path(out_dir, "table3_radii.csv"), "loss,variant,convexity_radius,empirical_basin_radius,basin_monotone",
+              rows)
     return out
 
 
 def recipe_polytope_sweep(out_dir):
     """Best fixed stepsizes on the seeded feasibility instance, p = 2..5."""
     alphas = np.round(np.arange(0.1, 4.50001, 0.05), 10)
-    rows = ["p,best_alpha,iterations"]
+    rows = []
     stars = []
     for p in (2, 3, 4, 5):
         loss, x0 = make_polytope_instance(p, seed=1)
         res = best_fixed_stepsize(loss, x0, alphas)
         res.write_csv(_path(out_dir, f"sweep_p{p}.csv"))
-        rows.append(f"{p},{res.best_alpha:.17g},{res.best_iterations}")
+        rows.append((p, res.best_alpha, res.best_iterations))
         _require(p - 1 - 0.15 <= res.best_alpha <= p - 1 + 0.1,
                  f"p={p}: best alpha {res.best_alpha} outside [{p - 1 - 0.15}, {p - 1 + 0.1}]")
         stars.append(res.best_alpha)
     _require(all(a <= b for a, b in zip(stars, stars[1:])), f"best alphas not non-decreasing: {stars}")
-    write_lines(_path(out_dir, "polytope_sweep.csv"), rows)
+    write_csv(_path(out_dir, "polytope_sweep.csv"), "p,best_alpha,iterations", rows)
     return dict(zip((2, 3, 4, 5), stars))
 
 

@@ -23,8 +23,8 @@ import numpy as np
 from .errors import DomainError, EvaluationError, InputError
 from .linalg import eigh_solve_batch, norm_exceeds, pinv_solve, row_dot, row_norm, symmetrize, symmetrize_batch
 from .losses import as_point
-from .newton import CONVERGED, DIVERGED, DOMAIN_ERROR, MAX_ITERS, RADIUS_TOL, NewtonConfig
-from .transforms import SCALING_QUALIFIED_TOL, SCALING_ZERO_TOL, compose
+from .newton import CONVERGED, DIVERGED, DOMAIN_ERROR, MAX_ITERS, RADIUS_TOL, NewtonConfig, write_csv
+from .transforms import SCALING_QUALIFIED_TOL, SCALING_ZERO_TOL, compose, scaling_factor
 
 
 @dataclass
@@ -109,7 +109,7 @@ def scan_sign_flip(loss, t, x_range, y_range=None, cross_check_fraction=0.01, se
     H, G = H[ok], G[ok]
     P = eigh_solve_batch(symmetrize_batch(H), G)  # G and H passed the finiteness test above
     dual = np.where(row_dot(G, G) == 0.0, 0.0, row_dot(G, P))  # dual_norm_sq
-    s = 1.0 + t.ratio(f[ok]) * dual  # scaling_factor, row for row
+    s = scaling_factor(t, f[ok], dual)
     sign = np.zeros(n, dtype=np.int8)
     sign[ok] = np.where(np.abs(s) <= SCALING_ZERO_TOL, 0, np.where(s > 0, 1, -1))
     scan = _grid("sign", xs, ys, scaling_sign=sign, final_value=np.where(error, np.nan, f), error=error)
@@ -205,7 +205,7 @@ def lockstep_newton(loss, X, alphas, cfg):
             step = ~converged
             live, a, x, P, gn, near = live[step], a[step], x[step], P[step], gn[step], near[step]
         x_new = x - a[:, None] * P  # run_newton's x - alpha * p
-        diverged = ~np.all(np.isfinite(x_new), axis=1) | norm_exceeds(x_new, cfg.divergence_radius)
+        diverged = norm_exceeds(x_new, cfg.divergence_radius)  # NaN and inf exceed
         retire(diverged, DIVERGED, k + 1, x_new)
         # int64 views: -0.0 and 0.0 differ, as they may for the loss
         fixed = ~diverged & np.all(x_new.view(np.int64) == x.view(np.int64), axis=1)
@@ -245,10 +245,7 @@ class SweepResult:
     rows: List[Tuple[float, int, float, bool]]  # alpha, iters, grad, converged
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("alpha,iterations,final_grad_norm,converged\n")
-            for alpha, iters, gn, ok in self.rows:
-                fh.write(f"{format(alpha, '.17g')},{iters},{format(gn, '.17g')},{int(ok)}\n")
+        write_csv(path, "alpha,iterations,final_grad_norm,converged", self.rows)
 
 
 def best_fixed_stepsize(loss, x0, alphas, cfg=None):

@@ -206,27 +206,12 @@ def make_star_transform(name):
 # Convexity neighborhood and radii
 # ----------------------------------------------------------------------------
 
-def convexity_neighborhood(radial, M, grid_step=1e-3):
-    """True iff psi''(r) + psi'(r)/r >= -CURVATURE_TOL on (0, M] (grid) and at r -> 0.
-
-    This is the curvature of the star-transformed profile; nonnegativity
-    certifies convexity of the transformed loss on the ball of radius M.
-    """
-    if M <= 0:
-        raise InputError("neighborhood radius must be positive")
-    rs = np.arange(grid_step, M + 0.5 * grid_step, grid_step)
-    return not np.any(_star_curvature(radial, np.concatenate([[0.0], rs])) < -CURVATURE_TOL)
-
-
 @dataclass
 class RadiusResult:
-    """Outcome of a radius bisection; compares/format like its float value."""
+    """Outcome of a radius bisection."""
 
     radius: float
     monotone: bool = True
-
-    def __float__(self):
-        return self.radius
 
 
 def _check_bracket(bracket_hi):
@@ -347,7 +332,7 @@ def convexity_radius(loss_1d, bracket_hi=8.0):
     Each scan is one evaluate_batch, and the bisection decides 6 rounds per
     batch of 63 midpoints; the radius equals that of the serial point-by-point
     scan and 50 serial rounds bit for bit. A point the loss cannot evaluate
-    raises as loss.hessian does: in a scan when it comes before the first
+    raises as loss.evaluate does: in a scan when it comes before the first
     negative point, in the bisection when it is among a pass's midpoints.
     """
     _check_bracket(bracket_hi)
@@ -355,12 +340,12 @@ def convexity_radius(loss_1d, bracket_hi=8.0):
 
     def negative(rs):
         """curvature < -CURVATURE_TOL at x* + r per r, and the points the loss
-        cannot evaluate, where loss_1d.hessian raises."""
+        cannot evaluate, where loss_1d.evaluate raises."""
         _, _, H, err = loss_1d.evaluate_batch((xstar + rs)[:, None])
         return H[:, 0, 0] < -CURVATURE_TOL, err
 
     def raise_at(r):
-        loss_1d.hessian([xstar + r])
+        loss_1d.evaluate([xstar + r])
 
     def first_negative(lo, hi):
         rs = np.linspace(lo, hi, 400)

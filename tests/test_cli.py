@@ -180,6 +180,7 @@ MALFORMED = [
     "convexify --loss cauchy1d --x0 2 --grid 0:1:1e-300",
     "sweep-alpha --loss polytope:p=2 --alphas 0.1:1:1e-300",
     "radius --loss cauchy1d --bracket=-1",
+    "run --loss beale --x0 1,1 --gtol nan",
 ]
 
 

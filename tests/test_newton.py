@@ -44,6 +44,13 @@ class TestRunNewton:
         assert tr.iterations == 1
         assert np.linalg.norm(tr.final_x) <= 1e-12
 
+    @pytest.mark.parametrize("field, value", [("gtol", np.nan), ("xtol", np.nan), ("divergence_radius", np.nan),
+                                              ("max_iters", np.nan), ("max_iters", 2.5), ("gtol", 0.0)])
+    def test_config_rejects_non_positive_nan_and_fractional_fields(self, field, value):
+        # min() passes over a NaN that is not its first argument: a NaN tolerance must not slip through
+        with pytest.raises(InputError):
+            NewtonConfig(**{field: value})
+
     def test_cauchy_unit_step_diverges_from_0p8(self):
         loss = as_1d_loss(make_radial("cauchy"))
         tr = run_newton(loss, ConstantSchedule(1.0), [0.8])
@@ -189,7 +196,7 @@ class TestLM:
         # the identity term dominates: step -> g / lam (loss with O(1) Hessian)
         loss = make_polynorm(np.eye(2), 2)
         x = np.array([0.7, -0.4])
-        g = loss.gradient(x)
+        _, g, _ = loss.evaluate(x)
         step = lm_step(loss, x, 1e8)
         np.testing.assert_allclose(step, g / 1e8, rtol=1e-6)
 

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from newton_transforms.cli import build_parser, main
 from newton_transforms.errors import InputError
 from newton_transforms.linalg import dual_norm_sq, norm_exceeds
-from newton_transforms.losses import SmoothLoss, known_loss_names, loss_from_spec, make_benchmark, make_polynorm
+from newton_transforms.losses import (SmoothLoss, known_loss_names, loss_from_spec, make_benchmark, make_polynorm,
+                                      make_polytope)
 from newton_transforms.newton import (CONVERGED, SINGULAR_SCALING, ConstantSchedule, ForwardedSchedule, InducedSchedule,
                                       NewtonConfig, StepState, run_equivalence, run_newton)
 from newton_transforms.recipes import EQUIVALENCE_PARAMS
@@ -314,6 +315,23 @@ def test_one_step_with_alpha_p_minus_1_lands_on_the_polynorm_minimizer(p, d, see
     f, g, H = loss.evaluate(x0)
     s = scaling_factor(polynomial(2.0 / p), f, dual_norm_sq(H, g).value)
     assert abs(s * (p - 1.0) - 1.0) <= 1e-12
+    trace = run_newton(loss, ConstantSchedule(p - 1.0), x0)
+    assert trace.termination == CONVERGED and trace.iterations <= 1
+    runs = lockstep_newton(loss, x0[None], [p - 1.0], NewtonConfig())
+    assert runs.termination[0] == CONVERGED and runs.iterations[0] == trace.iterations
+
+
+@settings(max_examples=100, **SETTINGS)
+@given(p=st.sampled_from([2, 2.5, 3, 4, 5]), d=st.integers(2, 10), seed=st.integers(0, 2**32 - 1),
+       log_slack=st.floats(-2.0, 3.0))
+def test_one_step_with_alpha_p_minus_1_satisfies_a_single_polytope_constraint(p, d, seed, log_slack):
+    """With one violated constraint, f = s^p for the slack s = a.x - b, and
+    H = p (p - 1) s^(p-2) a a^T has rank 1: the pseudoinverse step is
+    s a / ((p - 1) ||a||^2), so alpha = p - 1 lands on the hyperplane s = 0.
+    Both engines end such a run converged within one step."""
+    rng = np.random.default_rng(seed)
+    a, x0 = rng.standard_normal(d), rng.standard_normal(d)
+    loss = make_polytope([a], [a @ x0 - 10.0**log_slack], p)
     trace = run_newton(loss, ConstantSchedule(p - 1.0), x0)
     assert trace.termination == CONVERGED and trace.iterations <= 1
     runs = lockstep_newton(loss, x0[None], [p - 1.0], NewtonConfig())

@@ -1,7 +1,7 @@
 """Pinned SHA-256 digests of the CSVs that scan-conv, scan-flip and
 sweep-alpha write at small grids, of the trace CSVs that `run` writes for
-every schedule, of the `convexify` reports, and of every file the recipes
-write.
+every schedule, of the `convexify` reports, of one `starcheck` report, and
+of every file the recipes write.
 
 The scan digests were recorded with the per-cell scalar scans that preceded
 the lockstep engine. The poly:r=0.5 scan digests and fig3's r = 0.5 files
@@ -80,6 +80,7 @@ CASES = {
     # the grid holds the kink x = 0, where the counterexample's Hessian is undefined: no row
     "convexify-counterexample": ["convexify", "--loss", "counterexample", "--x0", "2",
                                  "--grid=-0.5:1.5:0.25"],
+    "starcheck-welsh1d": ["starcheck", "--loss", "welsh1d", "--points", "20", "--seed", "0"],
 }
 
 DIGESTS = {
@@ -109,6 +110,7 @@ DIGESTS = {
     "run-forwarded-sigmoid": "99174b5ee688e6a2f60973bc3007a02145c6674aa8ae45cd4c43344db12d51bb",
     "run-induced-log": "87fedc5c02def30c745125cb5c39bb9ddb40492298763b99331e714b42c25861",
     "run-induced-star": "c68757399c0e56c08a7451140505c48dfc180571a70f849458abf9c659c89740",
+    "starcheck-welsh1d": "6a49665332e96574b3d13ee0deb3b7f135a86e00ee804f7ea788e3020fd9f297",
 }
 
 #: Recipe keyword arguments; fig2, fig3 and fig5 run at reduced grids.

@@ -22,7 +22,6 @@ from newton_transforms.starconvex import (
     _bisect_predicate,
     _radial_integrals,
     convergence_radius,
-    convexity_neighborhood,
     convexity_radius,
     make_star_transform,
     radial_star_loss,
@@ -249,20 +248,22 @@ class TestRadialIntegralTable:
 
 
 class TestConvexityNeighborhood:
+    """The star-transformed profile's curvature psi'' + psi'/r, through the
+    convexity radius of the transformed loss."""
+
     def test_cauchy_everywhere(self):
-        assert convexity_neighborhood(make_radial("cauchy"), 100.0, grid_step=0.05)
+        assert convexity_radius(radial_star_loss(make_radial("cauchy"))[0]).radius == np.inf
 
     def test_quadratic_profile(self):
         from newton_transforms.losses import RadialLoss
 
         quad = RadialLoss("half_square", lambda r: 0.5 * r * r, lambda r: r, lambda r: 1.0,
                           lambda c: np.sqrt(2 * c), np.inf)
-        assert convexity_neighborhood(quad, 50.0, grid_step=0.1)
+        assert convexity_radius(radial_star_loss(quad)[0]).radius == np.inf
 
     def test_welsh_original_profile_fails_for_large_M(self):
         # psi'' + psi'/r = 4 e^{-r^2} (1 - r^2) < 0 at r = 2
-        assert not convexity_neighborhood(make_radial("welsh"), 2.5, grid_step=0.05)
-        assert convexity_neighborhood(make_radial("welsh"), 0.9, grid_step=0.01)
+        assert 0.9 < convexity_radius(radial_star_loss(make_radial("welsh"))[0]).radius < 2.5
 
 
 class TestRadii:
