@@ -97,6 +97,8 @@ def norm_exceeds(x, bound):
         return m > bound or not math.sqrt(x.dot(x)) <= bound
     m = np.maximum.reduce(abs(x), axis=-1)
     settled = ~(m <= bound)
+    if np.maximum.reduce(m, None, initial=0.0) < _SQUARE_SAFE:  # no NaN, and no square overflows
+        return settled | (row_norm(x) > bound)
     s = np.where(settled | (m < _SQUARE_SAFE), 1.0, m)  # scale the rows below the bound whose squares may overflow
     return settled | (row_norm(np.where(settled[..., None], 0.0, x) / s[..., None]) * s > bound)
 
@@ -107,7 +109,7 @@ def symmetrize_batch(M):
     M = np.asarray(M, dtype=float)
     if M.ndim != 3 or M.shape[1] != M.shape[2]:
         raise InputError(f"matrix stack must have shape (N, d, d), got {M.shape}")
-    big = np.abs(M).max(initial=0.0)
+    big = np.maximum.reduce(abs(M), None, initial=0.0)
     S = M
     if not big < _SQUARE_SAFE:  # as in symmetrize, row by row
         if not math.isfinite(big):
@@ -115,7 +117,7 @@ def symmetrize_batch(M):
         rows = np.abs(M).max(axis=(1, 2))
         S = M / np.where(rows < _SQUARE_SAFE, 1.0, rows)[:, None, None]
     D = S - S.transpose(0, 2, 1)
-    if D.any():  # an exactly symmetric stack has asymmetry 0, which never rejects
+    if np.logical_or.reduce(D, None):  # an exactly symmetric stack has asymmetry 0, which never rejects
         n, d, _ = M.shape
         scale = row_norm(S.reshape(n, d * d))  # an empty stack has no -1 extent
         asym = row_norm(D.reshape(n, d * d))
@@ -131,16 +133,28 @@ lapack_solve = functools.partial(_umath_linalg.solve1, signature="dd->d")
 
 def eigh_solve_batch(S, G):
     """pinv_solve() for every row without its checks: S (N, d, d) a
-    symmetrize_batch result, G (N, d) finite gradients -> P (N, d)."""
+    symmetrize_batch result, G (N, d) finite gradients -> P (N, d). For d = 1
+    no LAPACK call: its eigh of [[h]] is ([h], [[1.0]]), so p = (1/h) (g + 0.0)
+    + 0.0 (0 where h = 0), the + 0.0 being where the two matmuls' sums start."""
+    if S.shape[1] == 1:
+        h = S[:, 0]
+        if math.isnan(np.maximum.reduce(h, None, initial=0.0)):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return np.divide(1.0, h, out=np.zeros(h.shape), where=h != 0.0) * (G + 0.0) + 0.0
     w, V = lapack_eigh(S)
-    wmax = np.maximum.reduce(abs(w), axis=1)
-    if math.isnan(np.add.reduce(wmax)):  # a sum of non-negative terms is NaN only through a NaN term
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    keep = (abs(w) >= DEFAULT_PINV_RTOL * wmax[:, None]) & (wmax > 0.0)[:, None]
-    inv = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
+    aw = abs(w)
+    wmax = np.maximum.reduce(aw, axis=1)
+    # least |w| above the cutoff in every row: all are kept, none is 0 or NaN, and 1 / w is the masked divide
+    full = np.minimum.reduce(np.minimum.reduce(aw, axis=1) - DEFAULT_PINV_RTOL * wmax, None, initial=1.0) > 0.0
+    if not full:
+        if math.isnan(np.add.reduce(wmax)):  # a sum of non-negative terms is NaN only through a NaN term
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        keep = (aw >= DEFAULT_PINV_RTOL * wmax[:, None]) & (wmax > 0.0)[:, None]
+    inv = 1.0 / w if full else np.divide(1.0, w, out=np.zeros_like(w), where=keep)
     VtG = np.matmul(V.transpose(0, 2, 1), G[:, :, None])[:, :, 0]
     P = np.matmul(V, (inv * VtG)[:, :, None])[:, :, 0]
-    P[wmax == 0.0] = 0.0
+    if not full:
+        P[wmax == 0.0] = 0.0
     return P
 
 

@@ -76,7 +76,7 @@ class SmoothLoss:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dimension:
             raise InputError(f"points must have shape (N, {self.dimension}), got {X.shape}")
-        if not np.all(np.isfinite(X)):
+        if not np.isfinite(X).all():
             raise InputError("point has non-finite entries")
         if self._eval_batch is not None:
             return self._eval_batch(X)
@@ -335,7 +335,7 @@ def _cauchy_far(near, far):
     """near(r) below CAUCHY_FAR_RADIUS, far(r) from there on, per element of r."""
 
     def fn(r):
-        if np.asarray(r).max(initial=0.0) < CAUCHY_FAR_RADIUS:
+        if np.maximum.reduce(r, None, initial=0.0) < CAUCHY_FAR_RADIUS:
             return near(r)
         return np.where(r < CAUCHY_FAR_RADIUS, near(np.minimum(r, CAUCHY_FAR_RADIUS)),
                         far(np.maximum(r, CAUCHY_FAR_RADIUS)))[()]  # neither form sees the other's radii

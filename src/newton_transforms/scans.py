@@ -6,10 +6,10 @@ never raised, and overflow gives non-finite cells without a NumPy warning.
 Output ordering is by cell index, so identical configurations produce
 byte-identical CSV files.
 
-The scans and the sweep run in lockstep: all cells, or all stepsizes, in one
-batch evaluation per step (SmoothLoss.evaluate_batch) and stacked
-pseudoinverse solves. Every cell and sweep row ends bit for bit as the scalar
-path (run_newton, or evaluate, dual_norm_sq and scaling_factor) would leave it.
+The scans and the sweep run in lockstep: a step evaluates all live cells, or
+stepsizes, as one batch (SmoothLoss.evaluate_batch), tests one sum of it for
+finiteness and solves one stack. Each cell and sweep row ends bit for bit as
+run_newton, or evaluate, dual_norm_sq and scaling_factor, would leave it.
 The CSV writer formats each axis node once and writes one x-row per call.
 """
 
@@ -164,14 +164,14 @@ def lockstep_newton(loss, X, alphas, cfg):
                         near_minimizer=np.zeros(n, dtype=bool), final_x=np.full(x.shape, np.nan))
     xstar = loss.minimizer
     live = np.arange(n)
-    a = np.asarray(alphas, dtype=float)
+    a = np.asarray(alphas, dtype=float)[:, None]  # one stepsize per row, as a column
 
     def near_of(points):  # rows within cfg.xtol of the minimizer; none without one
         return np.zeros(len(points), dtype=bool) if xstar is None else ~norm_exceeds(points - xstar, cfg.xtol)
 
-    def retire(rows, termination, k, points, gn=None, near=None):
-        if not rows.any():
-            return
+    def retire(rows, termination, k, points, gn=None, near=None):  # whether any row retired
+        if not np.logical_or.reduce(rows):
+            return False
         cells = live[rows]
         runs.termination[cells] = termination
         runs.iterations[cells] = k
@@ -179,17 +179,21 @@ def lockstep_newton(loss, X, alphas, cfg):
         if gn is not None:
             runs.grad_norm[cells] = gn[rows]
         runs.near_minimizer[cells] = (near_of(points) if near is None else near)[rows]
+        return True
 
     for k in range(cfg.max_iters + 1):
         f, G, H, err = loss.evaluate_batch(x)
-        finite = np.isfinite(f) & np.all(np.isfinite(G), axis=1) & np.all(np.isfinite(H), axis=(1, 2))
-        ok = ~err & finite
-        if not ok.all():
-            near = err & near_of(x)  # an evaluation error on the minimizer ends converged, as in run_newton
-            retire(near, CONVERGED, k, x, near=near)
-            retire(err & ~near, DOMAIN_ERROR, k, x, near=near)
-            retire(~err & ~finite, DIVERGED, k, x)
-            live, x, a, f, G, H = live[ok], x[ok], a[ok], f[ok], G[ok], H[ok]
+        # a finite sum has finite terms: the exact test only when some row failed or the sum is not finite
+        total = np.add.reduce(f) + np.add.reduce(G, None) + np.add.reduce(H, None)
+        if np.logical_or.reduce(err) or not np.isfinite(total):
+            finite = np.isfinite(f) & np.isfinite(G).all(1) & np.isfinite(H).all((1, 2))
+            ok = ~err & finite
+            if not ok.all():
+                near = err & near_of(x)  # an evaluation error on the minimizer ends converged, as in run_newton
+                retire(near, CONVERGED, k, x, near=near)
+                retire(err & ~near, DOMAIN_ERROR, k, x, near=near)
+                retire(~err & ~finite, DIVERGED, k, x)
+                live, x, a, f, G, H = live[ok], x[ok], a[ok], f[ok], G[ok], H[ok]
         if not live.size:
             break
         runs.final_value[live] = f
@@ -197,21 +201,21 @@ def lockstep_newton(loss, X, alphas, cfg):
         gn = row_norm(G)
         near = near_of(x)
         converged = (gn <= cfg.gtol) | near
-        retire(converged, CONVERGED, k, x, gn, near)
+        some_converged = retire(converged, CONVERGED, k, x, gn, near)
         if k == cfg.max_iters:
             retire(~converged, MAX_ITERS, k, x, gn, near)
             break
-        if converged.any():
+        if some_converged:
             step = ~converged
             live, a, x, P, gn, near = live[step], a[step], x[step], P[step], gn[step], near[step]
-        x_new = x - a[:, None] * P  # run_newton's x - alpha * p
+        x_new = x - a * P  # run_newton's x - alpha * p
         diverged = norm_exceeds(x_new, cfg.divergence_radius)  # NaN and inf exceed
-        retire(diverged, DIVERGED, k + 1, x_new)
         # int64 views: -0.0 and 0.0 differ, as they may for the loss
-        fixed = ~diverged & np.all(x_new.view(np.int64) == x.view(np.int64), axis=1)
-        retire(fixed, MAX_ITERS, cfg.max_iters, x, gn, near)
+        fixed = (x_new.view(np.int64) == x.view(np.int64)).all(1)
         x, keep = x_new, ~(diverged | fixed)
         if not keep.all():
+            retire(diverged, DIVERGED, k + 1, x)
+            retire(fixed & ~diverged, MAX_ITERS, cfg.max_iters, x, gn, near)  # a fixed row's x_new is its x
             live, a, x = live[keep], a[keep], x[keep]
         if not live.size:
             break

@@ -107,7 +107,7 @@ def _radial_integrals(radial):
     def integral(r):
         r, j = locate(r)
         _, q, hw = ratio(table["edges"][j, None], r[..., None])
-        return table["prefix"][0, j] + (q * hw).sum(-1)
+        return table["prefix"][0, j] + np.add.reduce(q * hw, -1)
 
     def integrals(r):
         r, j = locate(r)
@@ -116,37 +116,31 @@ def _radial_integrals(radial):
     return integral, integrals
 
 
-@np.errstate(divide="ignore", invalid="ignore")
-def _star_curvature(radial, r):
-    """Psi''(r) = psi''(r) + psi'(r)/r of the star-transformed profile, with
-    its limit 2 psi''(0) at r = 0; per element of r."""
-    return np.where(r == 0.0, 2.0 * radial.psi_double_prime(0.0),
-                    radial.psi_double_prime(r) + radial.psi_prime(r) / r)
-
-
 def radial_star_loss(radial):
     """Both views of the star-convexified radial loss.
 
-    Returns (loss, transform): the 1D SmoothLoss with profile
-    Psi(r) = psi(0) + r I(r) (derivatives Psi' = I + psi', Psi'' = psi'' + psi'/r)
+    Returns (loss, transform): the 1D SmoothLoss with profile Psi(r) = psi(0) + r I(r)
+    (Psi' = I + psi', Psi'' = psi'' + psi'/r with its limit 2 psi''(0) at r = 0)
     and the equivalent ScalarTransform acting on f-values.
     """
     if radial.psi_prime(0.0) != 0.0:
         raise InputError("radial star transform needs psi'(0) = 0")
     f_star = float(radial.psi(0.0))
+    curvature_at_0 = 2.0 * radial.psi_double_prime(0.0)
     c = radial.center
     integral, integrals = _radial_integrals(radial)
 
-    @np.errstate(over="ignore", invalid="ignore")
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def ev_batch(X):
         t = X[:, 0] - c
         r = np.abs(t)
         I = integral(r)
+        p1 = radial.psi_prime(r)
         f = f_star + r * I
-        g = (I + radial.psi_prime(r)) * np.sign(t)
-        h = _star_curvature(radial, r)
+        g = (I + p1) * np.sign(t)
+        h = np.where(r == 0.0, curvature_at_0, radial.psi_double_prime(r) + p1 / r)
         err = ~(f < np.inf)  # overflow, or the NaN of I(r) where psi' overflows (welsh, geman_mcclure)
-        if err.any():
+        if np.logical_or.reduce(err):
             f, g, h = (np.where(err, np.nan, v) for v in (f, g, h))
         return f, g[:, None], h[:, None, None], err
 

@@ -186,10 +186,12 @@ def compose(base, t):
     def ev_batch(X):
         f, G, H, err = base.evaluate_batch(X)
         err |= ~t.contains(f)
-        ok, y = ~err, f[~err]
-        phi, p1, p2 = np.full((3, len(f)), np.nan)
-        phi[ok], p1[ok], p2[ok] = t.jet(y)
-        G = np.where(err[:, None], np.nan, G)
+        if np.logical_or.reduce(err):  # failed rows hold NaN; the jet sees only the others
+            phi, p1, p2 = np.full((3, len(f)), np.nan)
+            phi[~err], p1[~err], p2[~err] = t.jet(f[~err])
+            G = np.where(err[:, None], np.nan, G)
+        else:
+            phi, p1, p2 = t.jet(f)
         return (phi, p1[:, None] * G,
                 p1[:, None, None] * H + p2[:, None, None] * (G[:, :, None] * G[:, None, :]), err)
 

@@ -319,6 +319,50 @@ def test_lapack_kernels_match_numpy_linalg_bit_for_bit(d):
     assert np.isnan(stacked[2]).all()  # the zero matrix
 
 
+def _assert_rows_solve_as_eigh_solve(S, G):
+    P = eigh_solve_batch(S, G)
+    for i, (S_i, g_i) in enumerate(zip(S, G)):
+        assert P[i].tobytes() == eigh_solve(S_i, g_i)[3].tobytes(), i
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_stacked_solve_matches_eigh_solve_bit_for_bit(d):
+    """Every row of eigh_solve_batch on symmetrize_batch equals eigh_solve on
+    symmetrize: on a full-rank stack (every eigenvalue kept) and on one that
+    mixes full-rank, rank-deficient and zero matrices (the masked path)."""
+    rng = np.random.default_rng(200 + d)
+    mats = _lapack_matrices(d)
+    g = rng.standard_normal((len(mats), d))
+    g[1] = 0.0
+    full = [i for i, M in enumerate(mats) if eigh_solve(symmetrize(M), g[i])[2] == d]
+    assert full and len(full) < len(mats)
+    for rows in (full, range(len(mats))):
+        H = np.stack([mats[i] for i in rows])
+        assert symmetrize_batch(H).tobytes() == np.stack([symmetrize(M) for M in H]).tobytes()
+        _assert_rows_solve_as_eigh_solve(symmetrize_batch(H), g[list(rows)])
+    nan = np.stack([mats[0], np.full((d, d), np.nan)])
+    with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+        eigh_solve_batch(nan, g[:2])
+    with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+        eigh_solve(nan[1], g[1])
+
+
+def test_one_dimensional_stacked_solve_matches_eigh_solve_bit_for_bit():
+    """The d = 1 solve without LAPACK on signed zeros, subnormals, the float
+    maximum and infinities, against LAPACK's eigh in eigh_solve."""
+    hs = [0.0, -0.0, 5e-324, -2.5e-310, 1e-300, 2.0, -3.0, 1e308, -1e308, np.inf, -np.inf]
+    gs = [0.0, -0.0, 1.5, -2.5e-300, 1e308]
+    S = np.array([[[h]] for h in hs for _ in gs])
+    G = np.array([[v] for _ in hs for v in gs])
+    with np.errstate(over="ignore", invalid="ignore"):  # 1/h overflows for subnormal h, inf * 0 is NaN
+        _assert_rows_solve_as_eigh_solve(S, G)
+        finite = np.isfinite(S[:, 0, 0])
+        _assert_rows_solve_as_eigh_solve(symmetrize_batch(S[finite]), G[finite])
+    assert eigh_solve_batch(S[:10], G[:10]).tobytes() == np.zeros((10, 1)).tobytes()  # h = +-0.0 gives +0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        eigh_solve_batch(np.array([[[2.0]], [[np.nan]]]), np.ones((2, 1)))
+
+
 def test_lapack_failure_raises_linalgerror_like_numpy(monkeypatch):
     """Where LAPACK does not converge the gufunc fills NaN and raises the
     invalid flag; np.linalg.eigh turns that into LinAlgError, and so do the

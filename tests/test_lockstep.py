@@ -11,8 +11,8 @@ import pytest
 
 from newton_transforms.errors import DomainError, EvaluationError, InputError
 from newton_transforms.linalg import dual_norm_sq, norm_exceeds, symmetrize
-from newton_transforms.losses import (SmoothLoss, as_1d_loss, make_benchmark, make_counterexample, make_polynorm,
-                                     make_polytope_instance, make_radial)
+from newton_transforms.losses import (SmoothLoss, as_1d_loss, loss_from_spec, make_benchmark, make_counterexample,
+                                     make_polynorm, make_polytope_instance, make_radial)
 from newton_transforms.newton import CONVERGED, DOMAIN_ERROR, ConstantSchedule, NewtonConfig, run_newton
 from newton_transforms.starconvex import radial_star_loss
 from newton_transforms.scans import (
@@ -174,7 +174,7 @@ def test_rows_landing_on_a_minimizer_without_hessian_converge():
     _assert_convergence_matches(make_polynorm(np.eye(1), 1.5), None, (-1.0, 1.0, 3), None)
 
 
-def _star_runs_reference(loss, X, cfg):
+def _runs_reference(loss, X, cfg):
     """LockstepRuns of per-row run_newton traces, field by field, as bytes."""
     rows = []
     for x in X:
@@ -200,7 +200,7 @@ def test_fixed_point_rows_retire_as_run_newton_ends_them(name, center):
     runs = lockstep_newton(loss, X, np.ones(len(X)), cfg)
     got = [(runs.termination[i], int(runs.iterations[i]), _bits(runs.final_value[i]), _bits(runs.grad_norm[i]),
             bool(runs.near_minimizer[i]), runs.final_x[i].tobytes()) for i in range(len(X))]
-    want = _star_runs_reference(loss, X, cfg)
+    want = _runs_reference(loss, X, cfg)
     assert got == want
     stalled = ("max_iters", 30) if name == "welsh" else ("diverged", 2)
     assert [row[:2] for row in want] == [stalled, ("diverged", 1), ("converged", want[2][1]), stalled]
@@ -220,6 +220,35 @@ def test_fixed_point_row_stops_its_batch():
     runs = lockstep_newton(loss, [[4.0]], [1.0], NewtonConfig(max_iters=30))
     assert (runs.termination[0], runs.iterations[0]) == ("max_iters", 30)
     assert calls == [1, 1]
+
+
+def test_rows_whose_sums_overflow_end_as_run_newton_ends_them():
+    # Where the first coordinate exceeds 5, every gradient and Hessian entry is
+    # finite but they sum to +inf or -inf, so each batch takes the exact
+    # finiteness test; below -4 a row holds a NaN or an inf entry and diverges.
+    # The unit step moves the far rows down into the quadratic bowl, where
+    # they converge.
+    def ev(x):
+        a, b = x
+        if a > 5.0:
+            s = 1e308 if b >= 0.0 else -1e308
+            return 1.0, np.array([s, s]), np.diag([s, s])
+        if a < -5.0:
+            return 1.0, np.array([np.nan, 1.0]), np.eye(2)
+        if a < -4.0:
+            return 1.0, np.array([1.0, 1.0]), np.diag([np.inf, 1.0])
+        return 0.5 * (a * a + b * b), np.array([a, b]), np.eye(2)
+
+    loss = SmoothLoss("overflowing-sums", 2, ev, minimizer=np.zeros(2))
+    X = np.array([[7.0, 1.0], [6.5, -2.0], [-6.0, 0.5], [-4.5, 0.0], [1.0, 1.0], [9.0, 0.0]])
+    cfg = NewtonConfig(max_iters=30)
+    for rows in (X, X[[0, 1, 5]]):  # mixed with non-finite rows, and the finite rows alone
+        runs = lockstep_newton(loss, rows, np.ones(len(rows)), cfg)
+        got = [(runs.termination[i], int(runs.iterations[i]), _bits(runs.final_value[i]), _bits(runs.grad_norm[i]),
+                bool(runs.near_minimizer[i]), runs.final_x[i].tobytes()) for i in range(len(rows))]
+        assert got == _runs_reference(loss, rows, cfg)
+    assert lockstep_newton(loss, X, np.ones(len(X)), cfg).termination.tolist() == [
+        "converged", "converged", "diverged", "diverged", "converged", "converged"]
 
 
 def _sweep_reference(loss, x0, alphas, cfg):
@@ -316,15 +345,30 @@ def test_sweep_rejects_wrong_dimension_start():
         best_fixed_stepsize(make_polynorm(np.eye(2), 2), [1.0, 1.0, 1.0], [1.0])
 
 
-@pytest.mark.parametrize("loss", [*map(make_benchmark, ("rosenbrock", "beale", "goldstein_price")),
-                                  compose(make_benchmark("beale"), make_table1("polynomial", r=0.5)),
-                                  compose(SHIFTED_BEALE, make_table1("logarithmic", a=1.0)),
-                                  as_1d_loss(make_radial("welsh")), as_1d_loss(make_radial("cauchy")),
-                                  as_1d_loss(make_radial("geman_mcclure"))], ids=lambda loss: loss.name)
-def test_evaluate_batch_matches_evaluate(loss):
+def _batch_cases():
+    """(loss, whether evaluate raises at its minimizer, a point whose value
+    overflows or None) for every loss factory."""
+    star = [radial_star_loss(make_radial(name))[0] for name in ("welsh", "cauchy", "geman_mcclure")]
+    cases = ([(loss, False, None) for loss in map(make_benchmark, ("rosenbrock", "beale", "goldstein_price"))]
+            # f = 0 under f^0.5, f - 5 = -5 under log(1 + y)
+            + [(compose(make_benchmark("beale"), make_table1("polynomial", r=0.5)), True, None),
+               (compose(SHIFTED_BEALE, make_table1("logarithmic", a=1.0)), True, None)]
+            + [(as_1d_loss(make_radial(name)), False, None) for name in ("welsh", "cauchy", "geman_mcclure")]
+            + [(loss, False, [1.5e308]) for loss in star]  # r I(r) passes the float maximum
+            # no minimizer; no Hessian at 0 for p = 1.5; the counterexample's kink is its minimizer
+            + [(make_polytope_instance(3.0)[0], False, None), (loss_from_spec("polynorm:p=1.5"), True, None),
+               (loss_from_spec("polynorm:p=3"), False, None), (make_counterexample(), True, None)])
+    return [pytest.param(*case, id=case[0].name) for case in cases]
+
+
+@pytest.mark.parametrize("loss,raises_at_minimizer,far", _batch_cases())
+def test_evaluate_batch_matches_evaluate(loss, raises_at_minimizer, far):
     rng = np.random.default_rng(0)
     X = rng.uniform(-4.0, 4.0, (200, loss.dimension))
-    X[0] = loss.minimizer  # a domain error under the polynomial transform (f = 0)
+    if loss.minimizer is not None:
+        X[0] = loss.minimizer
+    if far is not None:
+        X[1] = far
     f, G, H, err = loss.evaluate_batch(X)
     for i, x in enumerate(X):
         try:
@@ -335,7 +379,8 @@ def test_evaluate_batch_matches_evaluate(loss):
         assert not err[i]
         assert f[i].tobytes() == np.float64(want[0]).tobytes()
         assert G[i].tobytes() == want[1].tobytes() and H[i].tobytes() == want[2].tobytes()
-    assert err[0] == loss.name.startswith(("poly", "log"))  # f = 0 under f^0.5, f - 5 = -5 under log(1 + y)
+    assert err[0] == raises_at_minimizer
+    assert far is None or err[1]
     assert err.sum() < len(X)
 
 
