@@ -41,7 +41,7 @@ class SmoothLoss:
 
     evaluate(x) returns (value, gradient, hessian); the Hessian is symmetric.
     evaluate_batch(X) does the same for every row of X. It uses _eval_batch
-    where a loss has a vectorized formula and loops evaluate otherwise.
+    where a loss has a vectorized formula and loops evaluate_point otherwise.
 
     A vectorized loss is one formula on coordinate rows (a, b = x): x is the
     list of one point's coordinates as Python floats, or an array (d, N) for
@@ -58,14 +58,16 @@ class SmoothLoss:
     _value: Optional[Callable[[np.ndarray], float]] = None
     _eval_batch: Optional[Callable[[np.ndarray], tuple]] = None
 
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def evaluate(self, x):
         return self.evaluate_point(as_point(x, self.dimension))
 
     def evaluate_point(self, x):
-        """evaluate() of a point that as_point has already checked."""
+        """evaluate() of a point that as_point has already checked, under the caller's np.errstate."""
         f, g, H = self._eval(x)
         return float(f), np.asarray(g, dtype=float), np.asarray(H, dtype=float)
 
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def evaluate_batch(self, X):
         """evaluate() on every row of X (N, d), bit for bit.
 
@@ -85,11 +87,12 @@ class SmoothLoss:
         err = np.zeros(n, dtype=bool)
         for i, x in enumerate(X):
             try:
-                f[i], G[i], H[i] = self.evaluate(x)
+                f[i], G[i], H[i] = self.evaluate_point(x)  # X is checked, and this call is guarded
             except (DomainError, EvaluationError):
                 err[i] = True
         return f, G, H, err
 
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def value(self, x):
         x = as_point(x, self.dimension)
         if self._value is not None:

@@ -1,6 +1,6 @@
-"""Damped Newton driver with pluggable stepsize schedules, the
-transformation-equivalence harness, and the Levenberg-Marquardt
-non-invariance demonstration.
+"""Damped Newton runs: the driver with pluggable stepsize schedules, the
+lockstep engine for many constant-step runs, the transformation-equivalence
+harness, and the Levenberg-Marquardt non-invariance demonstration.
 
 The iteration is x+ = x - alpha * pinv(hess f(x)) grad f(x). Schedules may be
 transform-aware: a forwarded schedule drives phi(f) with alpha * scaling so it
@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, EvaluationError, InputError, SingularScalingError
-from .linalg import DEFAULT_PINV_RTOL, dual_norm_sq, eigh_solve, lapack_solve, norm_exceeds, row_norm, symmetrize
+from .linalg import (DEFAULT_PINV_RTOL, dual_norm_sq, eigh_solve, eigh_solve_batch, lapack_solve, norm_exceeds,
+                     row_norm, symmetrize, symmetrize_batch)
 from .losses import SmoothLoss, as_point
 from .transforms import (SCALING_QUALIFIED_TOL, SCALING_ZERO_TOL, ScalarTransform, compose, forward_stepsize,
                          induced_stepsize, scaling_factor)
@@ -30,6 +31,8 @@ DOMAIN_ERROR = "domain_error"
 
 #: An iterate this close to the minimizer reached it (scan cells and basin radii).
 RADIUS_TOL = 1e-6
+#: A step to an iterate of larger norm, or not finite, ends the run diverged.
+DIVERGENCE_RADIUS = 1e6
 
 
 @dataclass
@@ -37,10 +40,9 @@ class NewtonConfig:
     max_iters: int = 100
     gtol: float = 1e-10
     xtol: float = 1e-10
-    divergence_radius: float = 1e6
 
     def __post_init__(self):
-        fields = (self.max_iters, self.gtol, self.xtol, self.divergence_radius)  # not min(fields): it skips NaN
+        fields = (self.max_iters, self.gtol, self.xtol)  # not min(fields): it skips NaN
         if not (isinstance(self.max_iters, (int, np.integer)) and all(v > 0 for v in fields)):
             raise InputError("NewtonConfig fields must be positive and max_iters an integer")
 
@@ -253,11 +255,95 @@ def run_newton(loss, schedule, x0, cfg=None):
         tr.scalings[-1] = scal
 
         x = x - alpha * p
-        if norm_exceeds(x, cfg.divergence_radius):  # NaN and inf exceed
+        if norm_exceeds(x, DIVERGENCE_RADIUS):  # NaN and inf exceed
             push(x)
             return end(DIVERGED)
 
     return tr  # pragma: no cover
+
+
+class LockstepRuns(NamedTuple):
+    """Per-row outcome of constant-step Newton runs, as run_newton records them."""
+
+    termination: np.ndarray  # object array of termination strings
+    iterations: np.ndarray
+    final_value: np.ndarray  # last finite value of the driven loss
+    grad_norm: np.ndarray  # last recorded ||g||: NaN when the run ended without an evaluation
+    final_x: np.ndarray  # the last recorded iterate (run_newton's trace.final_x), one row per run
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def lockstep_newton(loss, X, alphas, cfg):
+    """run_newton(loss, ConstantSchedule(alphas[i]), X[i], cfg) for every row i.
+
+    All live rows advance together, each with its own stepsize: each step
+    evaluates them as one batch and retires rows by run_newton's rules, in
+    its order. After the divergence test, a row whose step left it where it
+    was, bit for bit (-0.0 is not 0.0), is at a fixed point: evaluate_batch
+    is a pure function of each row and the row's stepsize is fixed, so every
+    later step would repeat this one. Such a row retires at once, as
+    run_newton would end it at the cap.
+    """
+    x = np.asarray(X, dtype=float)
+    n = len(x)
+    runs = LockstepRuns(termination=np.full(n, MAX_ITERS, dtype=object), iterations=np.zeros(n, dtype=np.int32),
+                        final_value=np.full(n, np.nan), grad_norm=np.full(n, np.nan), final_x=np.full(x.shape, np.nan))
+    xstar = loss.minimizer
+    live = np.arange(n)
+    a = np.asarray(alphas, dtype=float)[:, None]  # one stepsize per row, as a column
+
+    def near_of(points):  # rows within cfg.xtol of the minimizer; none without one
+        return np.zeros(len(points), dtype=bool) if xstar is None else ~norm_exceeds(points - xstar, cfg.xtol)
+
+    def retire(rows, termination, k, points, gn=None):  # whether any row retired
+        if not np.logical_or.reduce(rows):
+            return False
+        cells = live[rows]
+        runs.termination[cells] = termination
+        runs.iterations[cells] = k
+        runs.final_x[cells] = points[rows]
+        if gn is not None:
+            runs.grad_norm[cells] = gn[rows]
+        return True
+
+    for k in range(cfg.max_iters + 1):
+        f, G, H, err = loss.evaluate_batch(x)
+        # a finite sum has finite terms: the exact test only when some row failed or the sum is not finite
+        total = np.add.reduce(f) + np.add.reduce(G, None) + np.add.reduce(H, None)
+        if np.logical_or.reduce(err) or not np.isfinite(total):
+            finite = np.isfinite(f) & np.isfinite(G).all(1) & np.isfinite(H).all((1, 2))
+            ok = ~err & finite
+            if not ok.all():
+                near = err & near_of(x)  # an evaluation error on the minimizer ends converged, as in run_newton
+                retire(near, CONVERGED, k, x)
+                retire(err & ~near, DOMAIN_ERROR, k, x)
+                retire(~err & ~finite, DIVERGED, k, x)
+                live, x, a, f, G, H = live[ok], x[ok], a[ok], f[ok], G[ok], H[ok]
+        if not live.size:
+            break
+        runs.final_value[live] = f
+        P = eigh_solve_batch(symmetrize_batch(H), G)  # G and H passed the finiteness test above
+        gn = row_norm(G)
+        converged = (gn <= cfg.gtol) | near_of(x)
+        some_converged = retire(converged, CONVERGED, k, x, gn)
+        if k == cfg.max_iters:
+            retire(~converged, MAX_ITERS, k, x, gn)
+            break
+        if some_converged:
+            step = ~converged
+            live, a, x, P, gn = live[step], a[step], x[step], P[step], gn[step]
+        x_new = x - a * P  # run_newton's x - alpha * p
+        diverged = norm_exceeds(x_new, DIVERGENCE_RADIUS)  # NaN and inf exceed
+        # int64 views: -0.0 and 0.0 differ, as they may for the loss
+        fixed = (x_new.view(np.int64) == x.view(np.int64)).all(1)
+        x, keep = x_new, ~(diverged | fixed)
+        if not keep.all():
+            retire(diverged, DIVERGED, k + 1, x)
+            retire(fixed & ~diverged, MAX_ITERS, cfg.max_iters, x, gn)  # a fixed row's x_new is its x
+            live, a, x = live[keep], a[keep], x[keep]
+        if not live.size:
+            break
+    return runs
 
 
 @dataclass

@@ -6,25 +6,27 @@ never raised, and overflow gives non-finite cells without a NumPy warning.
 Output ordering is by cell index, so identical configurations produce
 byte-identical CSV files.
 
-The scans and the sweep run in lockstep: a step evaluates all live cells, or
-stepsizes, as one batch (SmoothLoss.evaluate_batch), tests one sum of it for
-finiteness and solves one stack. Each cell and sweep row ends bit for bit as
-run_newton, or evaluate, dual_norm_sq and scaling_factor, would leave it.
-The CSV writer formats each axis node once and writes one x-row per call.
+The convergence scan and the sweep are one newton.lockstep_newton batch each,
+and the sign-flip scan one evaluate_batch and one stacked solve: each cell and
+sweep row ends bit for bit as run_newton, or evaluate, dual_norm_sq and
+scaling_factor, would leave it. The CSV writer formats each axis node once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import DomainError, EvaluationError, InputError
-from .linalg import eigh_solve_batch, norm_exceeds, pinv_solve, row_dot, row_norm, symmetrize, symmetrize_batch
+from .linalg import eigh_solve_batch, norm_exceeds, pinv_solve, row_dot, symmetrize, symmetrize_batch
 from .losses import as_point
-from .newton import CONVERGED, DIVERGED, DOMAIN_ERROR, MAX_ITERS, RADIUS_TOL, NewtonConfig, write_csv
+from .newton import CONVERGED, DOMAIN_ERROR, RADIUS_TOL, NewtonConfig, lockstep_newton, write_csv
 from .transforms import SCALING_QUALIFIED_TOL, SCALING_ZERO_TOL, compose, scaling_factor
+
+#: Chance that a sign-flip cell with a qualified scaling factor is cross-checked.
+CROSS_CHECK_FRACTION = 0.01
 
 
 @dataclass
@@ -91,14 +93,14 @@ def _nodes(xs, ys):
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def scan_sign_flip(loss, t, x_range, y_range=None, cross_check_fraction=0.01, seed=0):
+def scan_sign_flip(loss, t, x_range, y_range=None, seed=0):
     """Sign of the stepsize scaling factor per grid cell.
 
-    A random ~1% of valid cells is cross-validated by comparing the sign of
-    <Newton step on f, Newton step on phi(f)> from scalar pseudoinverse
-    solves; mismatches are counted on the result. A drawn cell where phi(f)
-    is undefined or its derivatives are not finite is skipped and not
-    counted.
+    A random CROSS_CHECK_FRACTION of valid cells is cross-validated by
+    comparing the sign of <Newton step on f, Newton step on phi(f)> from scalar
+    pseudoinverse solves; mismatches are counted on the result. A drawn cell
+    where phi(f) is undefined or its derivatives are not finite is skipped and
+    not counted.
     """
     xs, ys = grid_axes(x_range, y_range)
     X = _nodes(xs, ys)
@@ -118,7 +120,7 @@ def scan_sign_flip(loss, t, x_range, y_range=None, cross_check_fraction=0.01, se
     candidates = np.flatnonzero(np.abs(s) > SCALING_QUALIFIED_TOL)
     rng = np.random.default_rng(seed)
     L = compose(loss, t)
-    for j in candidates[rng.uniform(size=len(candidates)) < cross_check_fraction]:
+    for j in candidates[rng.uniform(size=len(candidates)) < CROSS_CHECK_FRACTION]:
         try:
             _, gL, HL = L.evaluate(X[ok[j]])
         except (DomainError, EvaluationError):
@@ -133,99 +135,10 @@ def scan_sign_flip(loss, t, x_range, y_range=None, cross_check_fraction=0.01, se
     return scan
 
 
-class LockstepRuns(NamedTuple):
-    """Per-row outcome of fixed-stepsize Newton runs, as run_newton records them."""
-
-    termination: np.ndarray  # object array of termination strings
-    iterations: np.ndarray
-    final_value: np.ndarray  # last finite value of the driven loss
-    grad_norm: np.ndarray  # last recorded ||g||: NaN when the run ended without an evaluation
-    near_minimizer: np.ndarray  # some recorded iterate within cfg.xtol of the minimizer
-    final_x: np.ndarray  # the last recorded iterate (run_newton's trace.final_x), one row per run
-
-
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def lockstep_newton(loss, X, alphas, cfg):
-    """run_newton(loss, ConstantSchedule(alphas[i]), X[i], cfg) for every row i.
-
-    All live rows advance together, each with its own stepsize: each step
-    evaluates them as one batch and retires rows by run_newton's rules, in its
-    order: domain error, non-finite value, converged, iteration cap, diverged.
-    After the divergence test, a row whose step left it where it was, bit for
-    bit (-0.0 is not 0.0), is at a fixed point: evaluate_batch is a pure
-    function of each row and the row's stepsize is fixed, so every later step
-    would repeat this one. Such a row retires at once, as run_newton would
-    end it at the cap.
-    """
-    x = np.asarray(X, dtype=float)
-    n = len(x)
-    runs = LockstepRuns(termination=np.full(n, MAX_ITERS, dtype=object), iterations=np.zeros(n, dtype=np.int32),
-                        final_value=np.full(n, np.nan), grad_norm=np.full(n, np.nan),
-                        near_minimizer=np.zeros(n, dtype=bool), final_x=np.full(x.shape, np.nan))
-    xstar = loss.minimizer
-    live = np.arange(n)
-    a = np.asarray(alphas, dtype=float)[:, None]  # one stepsize per row, as a column
-
-    def near_of(points):  # rows within cfg.xtol of the minimizer; none without one
-        return np.zeros(len(points), dtype=bool) if xstar is None else ~norm_exceeds(points - xstar, cfg.xtol)
-
-    def retire(rows, termination, k, points, gn=None, near=None):  # whether any row retired
-        if not np.logical_or.reduce(rows):
-            return False
-        cells = live[rows]
-        runs.termination[cells] = termination
-        runs.iterations[cells] = k
-        runs.final_x[cells] = points[rows]
-        if gn is not None:
-            runs.grad_norm[cells] = gn[rows]
-        runs.near_minimizer[cells] = (near_of(points) if near is None else near)[rows]
-        return True
-
-    for k in range(cfg.max_iters + 1):
-        f, G, H, err = loss.evaluate_batch(x)
-        # a finite sum has finite terms: the exact test only when some row failed or the sum is not finite
-        total = np.add.reduce(f) + np.add.reduce(G, None) + np.add.reduce(H, None)
-        if np.logical_or.reduce(err) or not np.isfinite(total):
-            finite = np.isfinite(f) & np.isfinite(G).all(1) & np.isfinite(H).all((1, 2))
-            ok = ~err & finite
-            if not ok.all():
-                near = err & near_of(x)  # an evaluation error on the minimizer ends converged, as in run_newton
-                retire(near, CONVERGED, k, x, near=near)
-                retire(err & ~near, DOMAIN_ERROR, k, x, near=near)
-                retire(~err & ~finite, DIVERGED, k, x)
-                live, x, a, f, G, H = live[ok], x[ok], a[ok], f[ok], G[ok], H[ok]
-        if not live.size:
-            break
-        runs.final_value[live] = f
-        P = eigh_solve_batch(symmetrize_batch(H), G)  # G and H passed the finiteness test above
-        gn = row_norm(G)
-        near = near_of(x)
-        converged = (gn <= cfg.gtol) | near
-        some_converged = retire(converged, CONVERGED, k, x, gn, near)
-        if k == cfg.max_iters:
-            retire(~converged, MAX_ITERS, k, x, gn, near)
-            break
-        if some_converged:
-            step = ~converged
-            live, a, x, P, gn, near = live[step], a[step], x[step], P[step], gn[step], near[step]
-        x_new = x - a * P  # run_newton's x - alpha * p
-        diverged = norm_exceeds(x_new, cfg.divergence_radius)  # NaN and inf exceed
-        # int64 views: -0.0 and 0.0 differ, as they may for the loss
-        fixed = (x_new.view(np.int64) == x.view(np.int64)).all(1)
-        x, keep = x_new, ~(diverged | fixed)
-        if not keep.all():
-            retire(diverged, DIVERGED, k + 1, x)
-            retire(fixed & ~diverged, MAX_ITERS, cfg.max_iters, x, gn, near)  # a fixed row's x_new is its x
-            live, a, x = live[keep], a[keep], x[keep]
-        if not live.size:
-            break
-    return runs
-
-
 def scan_convergence(loss, t, x_range, y_range=None, cfg=None):
     """Unit-stepsize Newton run per cell (on phi(f) when a transform is given);
     a cell converged iff some iterate came within RADIUS_TOL of the base
-    loss's known minimizer.
+    loss's known minimizer: the run stops there, so that is its final_x.
 
     Convergence here is purely distance-based, so the per-cell runs stop on
     iterate distance (xtol = RADIUS_TOL), not on gradient size: transformed
@@ -238,8 +151,8 @@ def scan_convergence(loss, t, x_range, y_range=None, cfg=None):
     driven = loss if t is None else compose(loss, t)
     X = _nodes(xs, ys)
     runs = lockstep_newton(driven, X, np.ones(len(X)), run_cfg)
-    return _grid("convergence", xs, ys, converged=runs.near_minimizer, iterations=runs.iterations,
-                 final_value=runs.final_value, error=runs.termination == DOMAIN_ERROR)
+    return _grid("convergence", xs, ys, converged=~norm_exceeds(runs.final_x - driven.minimizer, RADIUS_TOL),
+                 iterations=runs.iterations, final_value=runs.final_value, error=runs.termination == DOMAIN_ERROR)
 
 
 @dataclass

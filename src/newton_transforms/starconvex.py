@@ -19,9 +19,8 @@ import numpy as np
 
 from .errors import EvaluationError, InputError
 from .losses import SmoothLoss, as_point, make_radial
-from .newton import CONVERGED, RADIUS_TOL, NewtonConfig
+from .newton import CONVERGED, RADIUS_TOL, NewtonConfig, lockstep_newton
 from .quadrature import adaptive_simpson
-from .scans import lockstep_newton
 from .transforms import ScalarTransform
 
 #: Curvature at or above -CURVATURE_TOL counts as nonnegative.
@@ -130,7 +129,6 @@ def radial_star_loss(radial):
     c = radial.center
     integral, integrals = _radial_integrals(radial)
 
-    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def ev_batch(X):
         t = X[:, 0] - c
         r = np.abs(t)
@@ -231,7 +229,7 @@ def _bisect(holds, lo, hi):
         for _ in range(k):  # node i of the table has children 2i + 1 (fails) and 2i + 2 (holds)
             mid = 0.5 * (los + his)
             levels.append(mid)
-            los, his = np.stack([los, mid], 1).ravel(), np.stack([mid, his], 1).ravel()
+            los, his = np.array([los, mid]).T.ravel(), np.array([mid, his]).T.ravel()
         mids = np.concatenate(levels)
         table = holds(mids)
         i = 0
@@ -285,7 +283,7 @@ def convergence_radius(loss_1d, bracket_hi=8.0, cfg=None, verify_monotone=True):
     reporting +inf. Monotonicity of the predicate is verified post hoc on
     20 points per side.
 
-    The predicate runs as one scans.lockstep_newton batch per call, which
+    The predicate runs as one newton.lockstep_newton batch per call, which
     ends every row as run_newton would: a bisection pass decides 6 rounds
     from one batch of 63 starts, the downward probes are one batch and the
     monotonicity check another, and the radius equals that of 50 serial

@@ -13,15 +13,10 @@ from newton_transforms.errors import DomainError, EvaluationError, InputError
 from newton_transforms.linalg import dual_norm_sq, norm_exceeds, symmetrize
 from newton_transforms.losses import (SmoothLoss, as_1d_loss, loss_from_spec, make_benchmark, make_counterexample,
                                      make_polynorm, make_polytope_instance, make_radial)
-from newton_transforms.newton import CONVERGED, DOMAIN_ERROR, ConstantSchedule, NewtonConfig, run_newton
+from newton_transforms.newton import (CONVERGED, DIVERGED, DOMAIN_ERROR, ConstantSchedule, NewtonConfig,
+                                      lockstep_newton, run_newton)
 from newton_transforms.starconvex import radial_star_loss
-from newton_transforms.scans import (
-    best_fixed_stepsize,
-    grid_axes,
-    lockstep_newton,
-    scan_convergence,
-    scan_sign_flip,
-)
+from newton_transforms.scans import best_fixed_stepsize, grid_axes, scan_convergence, scan_sign_flip
 from newton_transforms.transforms import SCALING_ZERO_TOL, compose, make_table1, scaling_factor, transform_from_spec
 
 TRANSFORMS = [("polynomial", dict(r=0.5)), ("polynomial", dict(r=1.0)), ("polynomial", dict(r=2.0)),
@@ -40,6 +35,18 @@ def _cells(x_range, y_range):
 
 def _bits(v):
     return np.float64(v).tobytes()
+
+
+def _near_any(tr, xstar, tol):
+    """Some iterate of a run_newton trace lies within tol of xstar."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return any(not norm_exceeds(xk - xstar, tol) for xk in tr.xs)
+
+
+def _near_final(runs, xstar, tol):
+    """Per row, the lockstep run's final_x lies within tol of xstar: the
+    convergence flag scan_convergence derives."""
+    return (~norm_exceeds(runs.final_x - xstar, tol)).tolist()
 
 
 def _scalar_convergence(driven, x, radius_tol=1e-6, max_iters=CFG.max_iters):
@@ -164,14 +171,36 @@ def test_rows_landing_on_a_minimizer_without_hessian_converge():
         moved = SmoothLoss(loss.name, 2, loss._eval, minimizer=xstar)  # the same error away from the minimizer
         runs = lockstep_newton(moved, X, alphas, CFG)
         assert runs.termination[:2].tolist() == [want, want] and runs.iterations[:2].tolist() == [1, 1]
-        assert runs.near_minimizer[:2].tolist() == [want == CONVERGED] * 2
+        near = _near_final(runs, xstar, CFG.xtol)
+        assert near[:2] == [want == CONVERGED] * 2
         for i, (x, alpha) in enumerate(zip(X, alphas)):
             tr = run_newton(moved, ConstantSchedule(alpha), x, CFG)
             assert (runs.termination[i], runs.iterations[i]) == (tr.termination, tr.iterations), i
+            assert near[i] == _near_any(tr, xstar, CFG.xtol), i
     # the scan's x = 0 cell is converged and not an error
     scan = scan_convergence(make_polynorm(np.eye(1), 1.5), None, (-1.0, 1.0, 3))
     assert scan.converged[:, 0].tolist() == [False, True, False] and not scan.error.any()
     _assert_convergence_matches(make_polynorm(np.eye(1), 1.5), None, (-1.0, 1.0, 3), None)
+
+
+def test_converged_cell_whose_run_diverges():
+    # f = x0^2 + x1^2 cannot be evaluated to finite values within 1e-3 of its
+    # minimizer 0. From any grid node the unit step lands on 0 exactly, where
+    # the run ends diverged; the iterate is within RADIUS_TOL all the same, so
+    # the cell converged, as the per-cell run_newton reference has it.
+    def ev(x):
+        if np.hypot(*x) < 1e-3:
+            return np.nan, np.full(2, np.nan), np.full((2, 2), np.nan)
+        return float(x @ x), 2.0 * x, 2.0 * np.eye(2)
+
+    loss = SmoothLoss("unfinite-bowl", 2, ev, minimizer=np.zeros(2))
+    tr = run_newton(loss, ConstantSchedule(1.0), [1.0, 1.0])
+    assert (tr.termination, tr.iterations, tr.final_x.tolist()) == (DIVERGED, 1, [0.0, 0.0])
+    grid = (1.0, 2.0, 2)
+    scan = _assert_convergence_matches(loss, None, grid, grid)
+    assert scan.converged.all() and not scan.error.any()
+    runs = lockstep_newton(loss, np.array([[1.0, 1.0]]), [1.0], NewtonConfig(gtol=1e-300, xtol=1e-6))
+    assert (runs.termination[0], runs.iterations[0]) == (DIVERGED, 1)
 
 
 def _runs_reference(loss, X, cfg):
@@ -180,11 +209,16 @@ def _runs_reference(loss, X, cfg):
     for x in X:
         tr = run_newton(loss, ConstantSchedule(1.0), x, cfg)
         finite = [v for v in tr.values if np.isfinite(v)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            near = any(not norm_exceeds(xk - loss.minimizer, cfg.xtol) for xk in tr.xs)
         rows.append((tr.termination, tr.iterations, _bits(finite[-1] if finite else np.nan),
-                     _bits(tr.grad_norms[-1]), near, tr.final_x.tobytes()))
+                     _bits(tr.grad_norms[-1]), _near_any(tr, loss.minimizer, cfg.xtol), tr.final_x.tobytes()))
     return rows
+
+
+def _runs_rows(runs, loss, cfg):
+    """LockstepRuns field by field, as bytes, with the derived convergence flag."""
+    near = _near_final(runs, loss.minimizer, cfg.xtol)
+    return [(runs.termination[i], int(runs.iterations[i]), _bits(runs.final_value[i]), _bits(runs.grad_norm[i]),
+             near[i], runs.final_x[i].tobytes()) for i in range(len(near))]
 
 
 @pytest.mark.parametrize("name", ["welsh", "geman_mcclure"])
@@ -197,11 +231,8 @@ def test_fixed_point_rows_retire_as_run_newton_ends_them(name, center):
     loss = radial_star_loss(make_radial(name, center=center))[0]
     X = center + np.array([[4.0], [2e6], [0.5], [-4.0]])
     cfg = NewtonConfig(max_iters=30)
-    runs = lockstep_newton(loss, X, np.ones(len(X)), cfg)
-    got = [(runs.termination[i], int(runs.iterations[i]), _bits(runs.final_value[i]), _bits(runs.grad_norm[i]),
-            bool(runs.near_minimizer[i]), runs.final_x[i].tobytes()) for i in range(len(X))]
     want = _runs_reference(loss, X, cfg)
-    assert got == want
+    assert _runs_rows(lockstep_newton(loss, X, np.ones(len(X)), cfg), loss, cfg) == want
     stalled = ("max_iters", 30) if name == "welsh" else ("diverged", 2)
     assert [row[:2] for row in want] == [stalled, ("diverged", 1), ("converged", want[2][1]), stalled]
 
@@ -244,9 +275,7 @@ def test_rows_whose_sums_overflow_end_as_run_newton_ends_them():
     cfg = NewtonConfig(max_iters=30)
     for rows in (X, X[[0, 1, 5]]):  # mixed with non-finite rows, and the finite rows alone
         runs = lockstep_newton(loss, rows, np.ones(len(rows)), cfg)
-        got = [(runs.termination[i], int(runs.iterations[i]), _bits(runs.final_value[i]), _bits(runs.grad_norm[i]),
-                bool(runs.near_minimizer[i]), runs.final_x[i].tobytes()) for i in range(len(rows))]
-        assert got == _runs_reference(loss, rows, cfg)
+        assert _runs_rows(runs, loss, cfg) == _runs_reference(loss, rows, cfg)
     assert lockstep_newton(loss, X, np.ones(len(X)), cfg).termination.tolist() == [
         "converged", "converged", "diverged", "diverged", "converged", "converged"]
 
@@ -328,13 +357,21 @@ def test_lockstep_without_minimizer_converges_on_gtol():
     alphas = np.array([0.4, 1.8, 4.4])
     cfg = NewtonConfig(max_iters=25)
     runs = lockstep_newton(loss, np.tile(x0, (len(alphas), 1)), alphas, cfg)
-    assert not runs.near_minimizer.any()
     for i, alpha in enumerate(alphas):
         tr = run_newton(loss, ConstantSchedule(alpha), x0, cfg)
         assert (runs.termination[i], runs.iterations[i]) == (tr.termination, tr.iterations)
         assert _bits(runs.grad_norm[i]) == _bits(tr.grad_norms[-1])
         assert runs.final_x[i].tobytes() == tr.final_x.tobytes()
     assert runs.termination[1] == CONVERGED and runs.grad_norm[1] <= cfg.gtol
+    # the same loss with its gtol point as the minimizer: the derived flag is
+    # whether some iterate of each row's run came within cfg.xtol of it
+    xstar = runs.final_x[1].copy()
+    moved = SmoothLoss(loss.name, loss.dimension, loss._eval, minimizer=xstar, _eval_batch=loss._eval_batch)
+    runs = lockstep_newton(moved, np.tile(x0, (len(alphas), 1)), alphas, cfg)
+    near = _near_final(runs, xstar, cfg.xtol)
+    assert near[1]
+    assert near == [_near_any(run_newton(moved, ConstantSchedule(alpha), x0, cfg), xstar, cfg.xtol)
+                    for alpha in alphas]
 
 
 def test_sweep_rejects_wrong_dimension_start():

@@ -262,15 +262,16 @@ class TestRadial:
 
     @pytest.mark.parametrize("x", [1e160, -1e160, 1e300])
     def test_cauchy_far_radii_finite_without_warning(self, x):
-        # Runs under the suite's error::RuntimeWarning: x * x overflows past 2^512
+        # Runs under the suite's error::RuntimeWarning: x * x overflows past 2^512.
+        # evaluate_point, as evaluate would hide a warning of the formulas.
         from newton_transforms.starconvex import radial_star_loss
 
         radial = make_radial("cauchy")
-        f, g, H = as_1d_loss(radial).evaluate([x])
+        f, g, H = as_1d_loss(radial).evaluate_point(np.array([x]))
         assert f == pytest.approx(2.0 * np.log(abs(x)), rel=1e-15)
         assert g[0] == pytest.approx(2.0 / x, rel=1e-15)
         assert H[0, 0] == pytest.approx(-2.0 / x / x, rel=1e-15, abs=1e-320)
-        f, g, H = radial_star_loss(radial)[0].evaluate([x])
+        f, g, H = radial_star_loss(radial)[0].evaluate_point(np.array([x]))
         assert f == pytest.approx(np.pi * abs(x), rel=1e-14)  # I(r) -> 2 arctan(inf) = pi
         assert g[0] == pytest.approx(np.pi * np.sign(x), rel=1e-14)
         assert np.isfinite(H).all()

@@ -15,6 +15,7 @@ from newton_transforms.losses import (
 from newton_transforms.newton import (
     CONVERGED,
     DIVERGED,
+    DIVERGENCE_RADIUS,
     DOMAIN_ERROR,
     BacktrackingSchedule,
     ConstantSchedule,
@@ -44,8 +45,8 @@ class TestRunNewton:
         assert tr.iterations == 1
         assert np.linalg.norm(tr.final_x) <= 1e-12
 
-    @pytest.mark.parametrize("field, value", [("gtol", np.nan), ("xtol", np.nan), ("divergence_radius", np.nan),
-                                              ("max_iters", np.nan), ("max_iters", 2.5), ("gtol", 0.0)])
+    @pytest.mark.parametrize("field, value", [("gtol", np.nan), ("xtol", np.nan), ("max_iters", np.nan),
+                                              ("max_iters", 2.5), ("gtol", 0.0)])
     def test_config_rejects_non_positive_nan_and_fractional_fields(self, field, value):
         # min() passes over a NaN that is not its first argument: a NaN tolerance must not slip through
         with pytest.raises(InputError):
@@ -105,9 +106,11 @@ class TestRunNewton:
 
     def test_divergence_radius_cutoff(self):
         loss = as_1d_loss(make_radial("cauchy"))
-        tr = run_newton(loss, ConstantSchedule(1.0), [0.9], NewtonConfig(divergence_radius=100.0))
-        assert tr.termination == DIVERGED
-        assert np.linalg.norm(tr.final_x) > 100.0
+        tr = run_newton(loss, ConstantSchedule(1.0), [0.9])
+        assert (tr.termination, tr.iterations) == (DIVERGED, 18)
+        assert np.linalg.norm(tr.final_x) > DIVERGENCE_RADIUS
+        assert all(np.linalg.norm(x) <= DIVERGENCE_RADIUS for x in tr.xs[:-1])
+        assert tr.final_x[0] == pytest.approx(-1.03e6, rel=1e-2)
 
 
 class TestSignReversal:
@@ -242,6 +245,11 @@ class TestLM:
         loss = as_1d_loss(make_radial("cauchy"))
         with pytest.raises(InputError):
             lm_invariance_residual(loss, exponential(1.0), [0.5], 0.1)
+
+    def test_overflowing_transformed_loss_rejected_without_warning(self):
+        # e^f overflows at f(-4, -3.66) = 38677: the transformed Hessian is not finite
+        with pytest.raises(InputError, match="non-finite"):
+            lm_invariance_residual(make_benchmark("rosenbrock"), exponential(1.0), [-4.0, -3.66], 0.1)
 
     def test_eigenvector_geometry_rejected(self):
         # radial loss in 2D: gradient is always an eigenvector of the Hessian

@@ -23,9 +23,9 @@ from newton_transforms.linalg import dual_norm_sq, norm_exceeds
 from newton_transforms.losses import (SmoothLoss, known_loss_names, loss_from_spec, make_benchmark, make_polynorm,
                                       make_polytope)
 from newton_transforms.newton import (CONVERGED, SINGULAR_SCALING, ConstantSchedule, ForwardedSchedule, InducedSchedule,
-                                      NewtonConfig, StepState, run_equivalence, run_newton)
+                                      NewtonConfig, StepState, lockstep_newton, run_equivalence, run_newton)
 from newton_transforms.recipes import EQUIVALENCE_PARAMS
-from newton_transforms.scans import RADIUS_TOL, grid_axes, lockstep_newton, scan_convergence
+from newton_transforms.scans import RADIUS_TOL, grid_axes, scan_convergence
 from newton_transforms.transforms import (
     SCALING_QUALIFIED_TOL,
     ScalarTransform,

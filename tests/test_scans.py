@@ -13,6 +13,7 @@ from newton_transforms.losses import (
     make_polytope_instance,
     make_radial,
 )
+from newton_transforms import scans
 from newton_transforms.newton import DIVERGED, ConstantSchedule, NewtonConfig, run_newton
 from newton_transforms.scans import (
     GridScan,
@@ -161,10 +162,11 @@ class TestTransformOverflow:
         assert scan.cross_check_mismatches == 0
         assert 0 < scan.cross_check_cells < 0.03 * scan.error.size
 
-    def test_sign_flip_counts_only_finite_cross_check_cells(self):
+    def test_sign_flip_counts_only_finite_cross_check_cells(self, monkeypatch):
+        monkeypatch.setattr(scans, "CROSS_CHECK_FRACTION", 1.0)
         loss, t = make_benchmark("goldstein_price"), exponential(0.02)
         grid = (-4.0, 4.0, 12)
-        scan = scan_sign_flip(loss, t, grid, grid, cross_check_fraction=1.0)
+        scan = scan_sign_flip(loss, t, grid, grid)
         finite = 0
         for x in np.linspace(*grid):
             for y in np.linspace(*grid):

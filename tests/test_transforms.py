@@ -182,6 +182,15 @@ class TestCompose:
         with pytest.raises(DomainError):
             L.evaluate([1.0, 1.0])  # f = 0 not inside (0, inf)
 
+    @pytest.mark.parametrize("call", ["evaluate", "evaluate_batch", "value"])
+    def test_overflow_without_warning(self, call):
+        # e^(0.02 f) overflows at f(-4, -3.66) = 38677; RuntimeWarnings are errors in this suite
+        L = compose(make_benchmark("rosenbrock"), make_table1("exponential", a=0.02))
+        x = [-4.0, -3.66]
+        f = {"evaluate": lambda: L.evaluate(x)[0], "evaluate_batch": lambda: L.evaluate_batch(np.array([x]))[0][0],
+             "value": lambda: L.value(x)}[call]()
+        assert f == np.inf
+
     def test_minimizer_carried_over(self):
         base = make_benchmark("beale")
         L = compose(base, exponential(0.5))
