@@ -97,7 +97,10 @@ def _parse_step_grid(text):
 
 
 def _parse_alphas(text):
-    return np.round(_parse_range(text, "alphas")[2], 12)
+    alphas = _parse_range(text, "alphas")[2]
+    with np.errstate(over="ignore"):  # rounding to 12 decimals multiplies by 1e12: keep the alphas it overflows
+        rounded = np.round(alphas, 12)
+    return np.where(np.isfinite(rounded), rounded, alphas)
 
 
 def _out_path(args, name):

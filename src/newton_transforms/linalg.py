@@ -52,22 +52,14 @@ class DualNormResult:
 
 def symmetrize(M):
     """Return M/2 + M^T/2 of a finite square matrix (halving first keeps entries
-    near the float maximum finite), rejecting asymmetry above 1e-8 relative."""
+    near the float maximum finite), rejecting asymmetry above 1e-8 relative:
+    symmetrize_batch on the one-matrix stack, which states the checks."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InputError(f"matrix must be square, got shape {M.shape}")
     # a bit-symmetric matrix with a finite sum (Python's: no overflow warning) has nothing to check
     if M.tobytes() != M.T.tobytes() or not math.isfinite(sum(M.ravel().tolist())):
-        big = np.maximum.reduce(abs(M), axis=None)
-        S = M
-        if not big < _SQUARE_SAFE:  # NaN, inf, or entries whose squares overflow
-            if not math.isfinite(big):
-                raise InputError("matrix has non-finite entries")
-            S = M / big
-        D, F = (S - S.T).ravel(order="K"), S.ravel(order="K")  # np.linalg.norm's own reduction, without its wrapper
-        asym = math.sqrt(D.dot(D))
-        if asym > 0.0 and asym > ASYMMETRY_RTOL * math.sqrt(F.dot(F)):  # exact symmetry needs no scale
-            raise InputError("matrix asymmetry exceeds 1e-8 relative; refusing to symmetrize")
+        return symmetrize_batch(M[None])[0]
     return 0.5 * M + 0.5 * M.T
 
 
@@ -92,15 +84,16 @@ def norm_exceeds(x, bound):
     """
     if x.ndim == 1:  # the per-iteration check of run_newton: keep it cheap
         m = max(map(abs, x.tolist()))  # may pass over a NaN, whose norm is not <= bound either
-        if _SQUARE_SAFE <= m <= bound < math.inf:
-            return not math.sqrt((x / m).dot(x / m)) * m <= bound
+        if _SQUARE_SAFE <= m <= bound < math.inf:  # squares may overflow: the stacked branch scales
+            return bool(norm_exceeds(x[None], bound)[0])
         return m > bound or not math.sqrt(x.dot(x)) <= bound
     m = np.maximum.reduce(abs(x), axis=-1)
     settled = ~(m <= bound)
     if np.maximum.reduce(m, None, initial=0.0) < _SQUARE_SAFE:  # no NaN, and no square overflows
         return settled | (row_norm(x) > bound)
     s = np.where(settled | (m < _SQUARE_SAFE), 1.0, m)  # scale the rows below the bound whose squares may overflow
-    return settled | (row_norm(np.where(settled[..., None], 0.0, x) / s[..., None]) * s > bound)
+    with np.errstate(over="ignore"):  # a norm past the float range is inf, which exceeds any bound
+        return settled | (row_norm(np.where(settled[..., None], 0.0, x) / s[..., None]) * s > bound)
 
 
 def symmetrize_batch(M):
@@ -111,7 +104,7 @@ def symmetrize_batch(M):
         raise InputError(f"matrix stack must have shape (N, d, d), got {M.shape}")
     big = np.maximum.reduce(abs(M), None, initial=0.0)
     S = M
-    if not big < _SQUARE_SAFE:  # as in symmetrize, row by row
+    if not big < _SQUARE_SAFE:  # NaN, inf, or entries whose squares overflow: scale row by row
         if not math.isfinite(big):
             raise InputError("matrix has non-finite entries")
         rows = np.abs(M).max(axis=(1, 2))

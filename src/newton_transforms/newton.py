@@ -33,6 +33,8 @@ DOMAIN_ERROR = "domain_error"
 RADIUS_TOL = 1e-6
 #: A step to an iterate of larger norm, or not finite, ends the run diverged.
 DIVERGENCE_RADIUS = 1e6
+#: Two runs are equivalent when no iterate_deviation exceeds this.
+EQUIVALENCE_TOL = 1e-8
 
 
 @dataclass
@@ -369,14 +371,19 @@ def run_equivalence(loss, t, base_schedule, x0, cfg=None):
 
     trace_f = run_newton(loss, base_schedule, x0, cfg)
     trace_L = run_newton(compose(loss, t), ForwardedSchedule(base_schedule.alpha, t, loss), x0, cfg)
+    return EquivalenceResult(trace_f, trace_L, iterate_deviation(trace_f.xs, trace_L.xs),
+                             min(len(trace_f.xs), len(trace_L.xs)))
 
-    dev = 0.0
-    for xf, xl in zip(trace_f.xs, trace_L.xs):
-        if not (np.isfinite(xf).all() and np.isfinite(xl).all()):
-            break
-        d = xf - xl
-        dev = max(dev, math.sqrt(d.dot(d)) / (1.0 + math.sqrt(xf.dot(xf))))
-    return EquivalenceResult(trace_f, trace_L, dev, min(len(trace_f.xs), len(trace_L.xs)))
+
+@np.errstate(over="ignore", invalid="ignore")
+def iterate_deviation(xs_a, xs_b):
+    """Worst ||a_k - b_k|| / (1 + ||a_k||) over the common prefix of two iterate
+    sequences, up to the first k where either iterate is not finite; 0.0 when
+    there is none. A term that overflows to NaN is passed over."""
+    n = min(len(xs_a), len(xs_b))
+    A, B = np.array(xs_a[:n], dtype=float), np.array(xs_b[:n], dtype=float)
+    prefix = np.logical_and.accumulate(np.isfinite(A).all(1) & np.isfinite(B).all(1))
+    return float(np.fmax.reduce(row_norm(A[prefix] - B[prefix]) / (1.0 + row_norm(A[prefix])), initial=0.0))
 
 
 # ----------------------------------------------------------------------------

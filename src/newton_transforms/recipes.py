@@ -21,9 +21,11 @@ from .losses import RADIAL, as_1d_loss, make_benchmark, make_polytope_instance, 
 from .newton import (
     CONVERGED,
     DIVERGED,
+    EQUIVALENCE_TOL,
     ConstantSchedule,
     InducedSchedule,
     NewtonConfig,
+    iterate_deviation,
     lm_invariance_residual,
     lm_residuals,
     lm_step,
@@ -90,9 +92,8 @@ def recipe_fig1(out_dir):
     _require(abs(tr_f.xs[1][0] + 2.844444444444444) <= 1e-3, f"first step {tr_f.xs[1][0]} != -2.844")
     _require(tr_L.termination == CONVERGED and abs(tr_L.final_x[0]) <= 1e-8, "surrogate run did not converge")
     _require(tr_ind.termination == CONVERGED, "induced-schedule run did not converge")
-    n = min(len(tr_L.xs), len(tr_ind.xs))
-    dev = max(abs(tr_L.xs[k][0] - tr_ind.xs[k][0]) / (1 + abs(tr_L.xs[k][0])) for k in range(n))
-    _require(dev <= 1e-8, f"induced trace deviates from surrogate trace by {dev}")
+    dev = iterate_deviation(tr_L.xs, tr_ind.xs)
+    _require(dev <= EQUIVALENCE_TOL, f"induced trace deviates from surrogate trace by {dev}")
     write_lines(_path(out_dir, "fig1_summary.txt"), [
         f"base_termination={tr_f.termination}",
         f"first_step={tr_f.xs[1][0]:.17g}",
@@ -156,7 +157,7 @@ def recipe_table1_check(out_dir):
                 rows.append((tname, lname, str(alpha), res.n_common, res.max_deviation, int(res.qualified)))
                 if res.qualified:
                     worst = max(worst, res.max_deviation)
-                    _require(res.max_deviation <= 1e-8,
+                    _require(res.max_deviation <= EQUIVALENCE_TOL,
                              f"{tname} on {lname} (alpha={alpha}) deviates by {res.max_deviation}")
     write_csv(_path(out_dir, "table1_check.csv"), "transform,loss,alpha,n_common,max_deviation,qualified", rows)
     return {"worst_deviation": worst}

@@ -136,7 +136,7 @@ def radial_star_loss(radial):
         p1 = radial.psi_prime(r)
         f = f_star + r * I
         g = (I + p1) * np.sign(t)
-        h = np.where(r == 0.0, curvature_at_0, radial.psi_double_prime(r) + p1 / r)
+        h = np.where(r == 0.0, curvature_at_0, radial.psi_double_prime(r) + p1 / np.where(r == 0.0, 1.0, r))
         err = ~(f < np.inf)  # overflow, or the NaN of I(r) where psi' overflows (welsh, geman_mcclure)
         if np.logical_or.reduce(err):
             f, g, h = (np.where(err, np.nan, v) for v in (f, g, h))
@@ -156,11 +156,6 @@ def radial_star_loss(radial):
         min_value=f_star,
         _eval_batch=ev_batch,
     )
-    return loss, _star_transform_from_profile(radial, integrals)
-
-
-def _star_transform_from_profile(radial, integrals):
-    f_star = float(radial.psi(0.0))
 
     def jet(cval):
         # phi' in the appendix form 1 + (psi^{-1})'(c) * I = 1 + I(r)/psi'(r), with its limit 2 at r = 0;
@@ -179,7 +174,7 @@ def _star_transform_from_profile(radial, integrals):
         return (f_star + r * I, np.where(r == 0.0, 2.0, 1.0 + I / p1)[()],
                 num / p1 / p1 / (rr * p1))
 
-    return ScalarTransform(
+    return loss, ScalarTransform(
         name=f"star({radial.name})",
         jet=jet,
         # the domain also ends where psi^{-1} overflows: Cauchy's sqrt(expm1(c)) past log(DBL_MAX)
@@ -190,8 +185,7 @@ def _star_transform_from_profile(radial, integrals):
 
 def make_star_transform(name):
     """Table-2 star transform by radial-loss name (geman_mcclure/welsh/cauchy)."""
-    radial = make_radial(name)
-    return _star_transform_from_profile(radial, _radial_integrals(radial)[1])
+    return radial_star_loss(make_radial(name))[1]
 
 
 # ----------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Test helpers: finite-difference validation of gradients and Hessians,
 reference formulas of the 2D benchmarks and the polytope, the scalar solve,
-the scan CSV writer and the per-derivative transform formulas as first
-written.
+the iterate deviation, the scan CSV writer and the per-derivative transform
+formulas as first written.
 
 Central differences with step scaling 1 + ||x|| so relative accuracy holds
 across benchmark scales (Goldstein-Price values span 1e6).
@@ -142,8 +142,8 @@ REFERENCE_BENCHMARKS = {"rosenbrock": reference_rosenbrock, "beale": reference_b
 
 # The scalar solve and point checks as first written, one validation per
 # call. The package's split solve (eigh_solve behind dual_norm_sq) and its
-# leaner symmetrize, norm_exceeds and as_point must equal them bit for bit
-# and raise the same errors.
+# leaner symmetrize, norm_exceeds, as_point and iterate_deviation must equal
+# them bit for bit and raise the same errors.
 
 def reference_symmetrize(M):
     """Return M/2 + M^T/2 of a finite square matrix (halving first keeps entries
@@ -177,6 +177,18 @@ def reference_norm_exceeds(x, bound):
     m = np.max(np.abs(x), axis=-1)
     settled = ~(m <= bound)
     return settled | (row_norm(np.where(settled[..., None], 0.0, x)) > bound)
+
+
+def reference_iterate_deviation(xs_a, xs_b):
+    """run_equivalence's deviation as first written, one iterate at a time:
+    the worst ||a_k - b_k|| / (1 + ||a_k||) up to the first non-finite iterate."""
+    dev = 0.0
+    for xf, xl in zip(xs_a, xs_b):
+        if not (np.isfinite(xf).all() and np.isfinite(xl).all()):
+            break
+        d = xf - xl
+        dev = max(dev, math.sqrt(d.dot(d)) / (1.0 + math.sqrt(xf.dot(xf))))
+    return dev
 
 
 @np.errstate(over="ignore", invalid="ignore")

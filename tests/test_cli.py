@@ -217,6 +217,16 @@ def test_power_overflow_exits_without_traceback(argv, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_sweep_alpha_keeps_stepsizes_whose_rounding_overflows(tmp_path):
+    # rounding to 12 decimals multiplies by 1e12, which took these alphas to inf
+    out = tmp_path / "sweep.csv"
+    proc = _cli_process(tmp_path, f"sweep-alpha --loss beale --x0 1,1 --alphas 1e300:1.2e300:1e299 --out {out}")
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    alphas = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+    assert alphas == pytest.approx([1e300, 1.1e300, 1.2e300], rel=1e-15)
+    assert proc.stdout.startswith("best_alpha=") and float(proc.stdout.split()[0][11:]) == alphas[0]
+
+
 def test_import_and_star_table_leave_numpy_polynomial_unloaded():
     # numpy.polynomial adds about 1.75 MB of resident memory to every process
     code = ("import sys, newton_transforms, newton_transforms.cli\n"

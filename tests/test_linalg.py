@@ -208,7 +208,8 @@ def _solve_cases(d):
     """(H, g) pairs of dimension d: random symmetric and indefinite matrices,
     ranks d - 1 and d - 2, the zero matrix, g = 0, roundoff asymmetry, entries
     near 1e150 (the scaled asymmetry check), the overflowing gradient of
-    test_overflow_warns_nowhere, and inputs the solve rejects."""
+    test_overflow_warns_nowhere, and inputs the solve rejects: NaN or inf
+    entries, shape mismatches and asymmetry, also at entries near 1e300."""
     rng = np.random.default_rng(d)
     A = rng.standard_normal((d, d))
     sym = A + A.T
@@ -218,13 +219,14 @@ def _solve_cases(d):
     noise = 1.0 + 1e-12 * rng.standard_normal((d, d))
     cases = [(sym, g), (sym @ sym, g), (np.diag(w), g), (np.zeros((d, d)), g), (sym, np.zeros(d)),
              (np.zeros((d, d)), np.zeros(d)), (sym * noise, g), (3e150 * sym, g), (3e150 * sym * noise, g),
-             (sym, np.full(d, np.nan)), (np.full((d, d), np.inf), g), (sym, g[:-1]), (sym[:, :-1], g)]
+             (sym, np.full(d, np.nan)), (np.full((d, d), np.inf), g), (np.where(np.eye(d) > 0, np.nan, sym), g),
+             (sym, g[:-1]), (sym[:, :-1], g)]
     for rank in (d - 1, d - 2):
         if rank >= 0:
             cases.append(((Q * np.where(np.arange(d) < rank, w, 0.0)) @ Q.T, g))
     if d >= 2:
         skew = np.triu(np.ones((d, d)), 1)
-        cases += [(sym + 1e-3 * skew, g), (3e150 * (sym + 1e-3 * skew), g)]
+        cases += [(sym + 1e-3 * skew, g), (3e150 * (sym + 1e-3 * skew), g), (1e300 * (sym + 1e-3 * skew), g)]
     if d == 2:
         L = compose(make_benchmark("rosenbrock"), make_table1("exponential", a=0.5))
         _, gL, HL = L.evaluate([1.5, -1.0])
@@ -249,9 +251,12 @@ def _outcome(fn, *args):
 @pytest.mark.parametrize("d", range(1, 11))
 def test_split_solve_and_checks_match_the_reference_bit_for_bit(d):
     """dual_norm_sq (validation, then eigh_solve), symmetrize, norm_exceeds
-    and as_point against their first-written forms in checks.py."""
+    and as_point against their first-written forms in checks.py; symmetrize
+    of a square matrix also against symmetrize_batch of the one-matrix stack."""
     for H, g in _solve_cases(d):
         assert _outcome(symmetrize, H) == _outcome(reference_symmetrize, H)
+        if H.shape[0] == H.shape[1]:
+            assert _outcome(symmetrize, H) == _outcome(lambda M: symmetrize_batch(M[None])[0], H)
         assert _outcome(dual_norm_sq, H, g) == _outcome(reference_dual_norm_sq, H, g)
     x = np.random.default_rng(d).standard_normal(d)
     big = 1e160 * x
@@ -270,12 +275,14 @@ def test_split_solve_and_checks_match_the_reference_bit_for_bit(d):
         assert _outcome(as_point, p, 1) == _outcome(reference_as_point, p, 1)
 
 
-@pytest.mark.parametrize("bound", [1e155, 1e200, 1e300])
+@pytest.mark.parametrize("bound", [1e155, 1e200, 1e300, 1.79e308])
 def test_norm_exceeds_does_not_square_rows_below_a_large_bound(bound):
     # <x, x> overflowed for max|x| above about 1e154, and inf > bound held for
-    # any bound: a norm of 1.4e160 exceeded 1e200
+    # any bound: a norm of 1.4e160 exceeded 1e200. At the largest bound the last
+    # row's entries are below it, and its rescaled norm overflows to inf, which
+    # exceeds it without a warning.
     x = np.array([1e160, 1e160])
-    X = np.stack([x, 1e-10 * x, [2.0 * bound, 0.0], [np.nan, 1.0], [0.9 * bound, 0.0]])
+    X = np.stack([x, 1e-10 * x, [2.0 * bound, 0.0], [np.nan, 1.0], [0.9 * bound, 0.0], [1.5e308, 1.5e308]])
     want = [math.hypot(*row) > bound or np.isnan(row).any() for row in X]
     with np.errstate(over="raise"):
         assert [norm_exceeds(row, bound) for row in X] == want

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from checks import reference_iterate_deviation
 from newton_transforms.cli import _schedule
 from newton_transforms.errors import InputError
 from newton_transforms.losses import (
@@ -22,6 +23,7 @@ from newton_transforms.newton import (
     ForwardedSchedule,
     InducedSchedule,
     NewtonConfig,
+    iterate_deviation,
     lm_invariance_residual,
     lm_residuals,
     lm_step,
@@ -168,6 +170,30 @@ class TestEquivalence:
         assert res.n_common >= 10
         assert res.max_deviation <= 1e-8
         assert res.qualified
+
+    def test_iterate_deviation_matches_the_loop_bit_for_bit(self):
+        # equivalence traces of the recipe's transforms, then traces of unequal
+        # length, with non-finite heads and tails, one-dimensional, and with
+        # under- and overflowing terms
+        cases = []
+        for tname, params in (("polynomial", dict(r=2.0)), ("exponential", dict(a=0.02)), ("sigmoid", {})):
+            for lname, x0 in (("rosenbrock", (-1.2, 1.0)), ("goldstein_price", (0.1, -0.9))):
+                res = run_equivalence(make_benchmark(lname), make_table1(tname, **params), ConstantSchedule(1.0),
+                                      x0, NewtonConfig(max_iters=12))
+                cases.append((res.trace_f.xs, res.trace_L.xs))
+        rng = np.random.default_rng(7)
+        for d in (1, 2, 5):
+            a = list(rng.standard_normal((9, d)) * 10.0 ** rng.uniform(-3, 3, (9, 1)))
+            b = [x * (1.0 + 1e-9 * rng.standard_normal(d)) for x in a]
+            nan, inf = np.full(d, np.nan), np.where(np.arange(d) == 0, -np.inf, 1.0)
+            cases += [(a, b), (a, b[:4]), (a[:3], b), (a[:5] + [nan] + a[6:], b), (a, b[:7] + [inf, b[8]]),
+                      ([nan] + a, [inf] + b), (a[:1], b[:1]), (a, [x + 1e-170 for x in a]),
+                      ([1e200 * x for x in a], [-1e200 * x for x in a]), (a + [np.full(d, 1e308)], b + [-a[0]])]
+        for xs_a, xs_b in cases:
+            with np.errstate(over="ignore", invalid="ignore"):  # the loop's squares overflow at 1e200
+                want = reference_iterate_deviation(xs_a, xs_b)
+            got = iterate_deviation(xs_a, xs_b)
+            assert (type(got), np.float64(got).tobytes()) == (type(want), np.float64(want).tobytes())
 
     def test_star_cauchy_induced_matches_unit_L_run(self):
         # Newton on f with alpha = 1/scaling reproduces unit Newton on 2x arctan x

@@ -23,7 +23,8 @@ from newton_transforms.linalg import dual_norm_sq, norm_exceeds
 from newton_transforms.losses import (SmoothLoss, known_loss_names, loss_from_spec, make_benchmark, make_polynorm,
                                       make_polytope)
 from newton_transforms.newton import (CONVERGED, SINGULAR_SCALING, ConstantSchedule, ForwardedSchedule, InducedSchedule,
-                                      NewtonConfig, StepState, lockstep_newton, run_equivalence, run_newton)
+                                      NewtonConfig, StepState, iterate_deviation, lockstep_newton, run_equivalence,
+                                      run_newton)
 from newton_transforms.recipes import EQUIVALENCE_PARAMS
 from newton_transforms.scans import RADIUS_TOL, grid_axes, scan_convergence
 from newton_transforms.transforms import (
@@ -234,16 +235,6 @@ PERTURBATION = st.tuples(st.floats(-0.1, 0.1), st.floats(-0.1, 0.1))
 N_SHADOW_EXCUSED = 0
 
 
-def _deviation(xs_a, xs_b):
-    """Worst normalized iterate gap over the common finite prefix."""
-    dev = 0.0
-    for xa, xb in zip(xs_a, xs_b):
-        if not (np.isfinite(xa).all() and np.isfinite(xb).all()):
-            break
-        dev = max(dev, float(np.linalg.norm(xa - xb) / (1.0 + np.linalg.norm(xa))))
-    return dev
-
-
 def test_forwarded_run_reproduces_base_run_iterate_for_iterate():
     """A forwarded run on phi(f) deviates from the constant-step run on f by at
     most 1e-8 whenever it qualifies and grad f stays in Range(hess f) along
@@ -263,7 +254,7 @@ def test_forwarded_run_reproduces_base_run_iterate_for_iterate():
             return
         assert res.max_deviation <= 1e-6
         shadow = run_newton(loss, ConstantSchedule(alpha), x0 * (1.0 + 1e-12), cfg)
-        assert res.max_deviation <= _deviation(res.trace_f.xs, shadow.xs)
+        assert res.max_deviation <= iterate_deviation(res.trace_f.xs, shadow.xs)
         excused.append((lname, kind_params, dx, alpha))
 
     prop()

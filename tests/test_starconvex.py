@@ -168,6 +168,13 @@ class TestRadialStarLoss:
             assert t.phi_prime(0.0) == pytest.approx(2.0)
             assert t.phi(0.0) == 0.0
 
+    @pytest.mark.parametrize("name", RADIALS)
+    def test_loss_at_the_centre_warns_nowhere(self, name):
+        # psi'(r) / r was divided at r = 0 as well, where 2 psi''(0) replaces it,
+        # and warned outside np.errstate (RuntimeWarnings are errors in this suite)
+        f, g, H = radial_star_loss(make_radial(name))[0].evaluate_point(np.array([0.0]))
+        assert (f, g.tolist(), H.tolist()) == (0.0, [0.0], [[4.0]])
+
 
 class TestRadialIntegralTable:
     @pytest.mark.parametrize("name", RADIALS)
