@@ -19,14 +19,13 @@ import numpy as np
 from .convexify import compact_constant, exp_convexifier, strict_schaible_batch, verify_convexified
 from .errors import CapabilityError, DomainError, InputError, SingularScalingError
 from .linalg import symmetrize_batch
-from .losses import as_1d_loss, known_loss_names, loss_from_spec, radial_1d, spec_number
+from .losses import LOSS_SPECS, as_1d_loss, known_loss_names, loss_from_spec, make_radial, spec_number
 from .newton import (
     BacktrackingSchedule,
     ConstantSchedule,
     ForwardedSchedule,
     InducedSchedule,
     NewtonConfig,
-    _fmt,
     run_newton,
     write_csv,
 )
@@ -37,8 +36,9 @@ from .transforms import compose, known_transform_specs, transform_from_spec
 
 USAGE_ERROR, NUMERICAL_ERROR, IO_ERROR = 2, 3, 4
 
-#: The --schedule specs.
-SCHEDULES = ("const:<a>", "induced:<a>", "forwarded:<a>", "armijo")
+#: The --schedule heads and their stepsize argument (1 when left out) as help prints it.
+SCHEDULES = {"const": "[:<a>]", "induced": "[:<a>]", "forwarded": "[:<a>]", "armijo": ""}
+SCHEDULE_HELP = ", ".join(head + syntax for head, syntax in SCHEDULES.items())
 
 
 def _count(text):
@@ -116,12 +116,12 @@ def _config(args):
 def _schedule(spec, loss, t):
     """The schedule a --schedule spec names and the loss it drives: phi(f)
     when a transform is given, except that an induced schedule drives f."""
-    head, _, rest = spec.partition(":")
+    head, sep, rest = spec.partition(":")
+    if head not in SCHEDULES or (sep and not SCHEDULES[head]):
+        raise InputError(f"bad schedule '{spec}' ({SCHEDULE_HELP})")
     if head == "armijo":
         schedule = BacktrackingSchedule()
     else:
-        if head not in ("const", "induced", "forwarded"):
-            raise InputError(f"unknown schedule '{spec}' ({', '.join(SCHEDULES)})")
         alpha = spec_number({"stepsize": rest or "1"}, "stepsize", None)
         if head == "const":
             schedule = ConstantSchedule(alpha)
@@ -135,10 +135,9 @@ def _schedule(spec, loss, t):
 
 
 def _radial(spec, command):
-    radial = radial_1d(spec)
-    if radial is None:
+    if not (spec in LOSS_SPECS and spec.endswith("1d")):
         raise InputError(f"{command} needs a radial 1D loss (<name>1d), got '{spec}'")
-    return radial
+    return make_radial(spec[:-2])
 
 
 def cmd_run(args):
@@ -148,7 +147,7 @@ def cmd_run(args):
     path = _out_path(args, "trace.csv")
     trace.write_csv(path)
     print(f"termination={trace.termination} iterations={trace.iterations} "
-          f"final_x={','.join(map(_fmt, trace.final_x))} -> {path}")
+          f"final_x={','.join(format(float(v), '.17g') for v in trace.final_x)} -> {path}")
     return 0
 
 
@@ -272,7 +271,7 @@ def build_parser():
         epilog=(
             "losses: " + ", ".join(known_loss_names()) + "\n"
             "transforms: " + ", ".join(known_transform_specs()) + "\n"
-            "schedules: " + ", ".join(SCHEDULES) + "\n"
+            "schedules: " + SCHEDULE_HELP + "\n"
             "recipes: " + ", ".join(sorted(RECIPES))
         ),
     )
@@ -289,7 +288,7 @@ def build_parser():
     p.add_argument("--loss", required=True)
     p.add_argument("--transform", default="none")
     p.add_argument("--schedule", default="const:1.0",
-                   help=" | ".join(SCHEDULES) + "; with --transform, induced drives f and the others phi(f)")
+                   help=SCHEDULE_HELP + "; with --transform, induced drives f and the others phi(f)")
     p.add_argument("--x0", required=True)
     p.add_argument("--max-iters", type=int, dest="max_iters")
     p.add_argument("--gtol", type=float)

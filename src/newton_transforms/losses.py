@@ -10,6 +10,7 @@ for bit; the polytope stacks its points by their number of active constraints.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -425,13 +426,15 @@ def make_counterexample():
 # CLI-facing registry
 # ----------------------------------------------------------------------------
 
-def spec_options(parts, kind):
-    """The 'key=value' parts of a CLI spec as a dict of strings."""
+def parse_spec(spec, kind, syntax):
+    """The options of a CLI spec 'head:key=value:...' as a dict of strings. syntax is the head's
+    options as help prints them (':p=<P>[:seed=<S>]'); a part that is not one of them is an InputError."""
+    head, *parts = spec.split(":")
     out = {}
     for part in parts:
         key, sep, value = part.partition("=")
-        if not sep:
-            raise InputError(f"malformed {kind} option '{part}'")
+        if not sep or key not in re.findall(r"(\w+)=", syntax):
+            raise InputError(f"bad {kind} option '{part}' in '{spec}' (syntax {head}{syntax})")
         out[key] = value
     return out
 
@@ -449,28 +452,24 @@ def spec_number(options, key, default, cast=float):
     return value
 
 
-def radial_1d(name):
-    """The radial profile a 1D loss name such as 'cauchy1d' stands for, or
-    None when the name is not one of them."""
-    if name.endswith("1d") and name[:-2] in RADIAL:
-        return make_radial(name[:-2])
-    return None
+#: The loss spec heads and their options as help prints them; the '<name>1d' heads are the radial 1D losses.
+LOSS_SPECS = {**dict.fromkeys([*sorted(_BENCHMARKS), *(f"{n}1d" for n in sorted(RADIAL)), "counterexample"], ""),
+              "polynorm": ":p=<P>[:d=<D>][:seed=<S>]", "polytope": ":p=<P>[:seed=<S>]"}
 
 
 def loss_from_spec(spec):
     """Build a loss from a CLI string such as 'rosenbrock', 'cauchy1d',
     'polynorm:p=4:d=2:seed=0' or 'polytope:p=3:seed=1'."""
-    head, *rest = spec.split(":")
+    head = spec.partition(":")[0]
+    if head not in LOSS_SPECS:
+        raise InputError(f"unknown loss spec '{spec}'")
+    kv = parse_spec(spec, "loss", LOSS_SPECS[head])
     if head in _BENCHMARKS:
         return make_benchmark(head)
-    radial = radial_1d(head)
-    if radial is not None:
-        return as_1d_loss(radial)
+    if head.endswith("1d"):
+        return as_1d_loss(make_radial(head[:-2]))
     if head == "counterexample":
         return make_counterexample()
-    kv = spec_options(rest, "loss")
-    if head not in ("polynorm", "polytope"):
-        raise InputError(f"unknown loss spec '{spec}'")
     p = spec_number(kv, "p", 2)
     seed = spec_number(kv, "seed", 0 if head == "polynorm" else 1, int)
     if seed < 0:
@@ -486,8 +485,4 @@ def loss_from_spec(spec):
 
 
 def known_loss_names():
-    return sorted(_BENCHMARKS) + [f"{n}1d" for n in sorted(RADIAL)] + [
-        "counterexample",
-        "polynorm:p=<P>[:d=<D>][:seed=<S>]",
-        "polytope:p=<P>[:seed=<S>]",
-    ]
+    return [head + syntax for head, syntax in LOSS_SPECS.items()]

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, InputError, SingularScalingError
-from .losses import RADIAL, SmoothLoss, spec_number, spec_options
+from .losses import RADIAL, SmoothLoss, parse_spec, spec_number
 
 #: |scaling| at or below this is treated as singular (transformed Hessian
 #: degenerates along grad f); the paper does not treat this case, so fail loudly.
@@ -161,15 +161,12 @@ def make_table1(kind, **params):
         raise InputError(f"bad parameters {sorted(params)} for transform kind '{kind}'") from None
 
 
-@dataclass
 class TransformedLoss(SmoothLoss):
     """Composite phi(f) evaluated by the chain rule:
 
     grad L = phi'(f) grad f,
     hess L = phi'(f) hess f + phi''(f) grad f grad f^T.
     """
-
-    transform: ScalarTransform = None
 
 
 def compose(base, t):
@@ -205,7 +202,6 @@ def compose(base, t):
         minimizer=None if base.minimizer is None else np.array(base.minimizer),
         min_value=min_value,
         _eval_batch=ev_batch,
-        transform=t,
     )
     return composed
 
@@ -227,8 +223,9 @@ def forward_stepsize(alpha_on_base, scaling):
     return alpha_on_base * scaling
 
 
-#: Spec abbreviations of Table-1 kinds; a spec may also give the kind itself.
-_SHORT_KINDS = {"poly": "polynomial", "exp": "exponential", "log": "logarithmic"}
+#: The Table-1 spec heads: each head's kind and its options as help prints them.
+TRANSFORM_SPECS = {"linear": ("linear", ":a=<A>[:b=<B>]"), "poly": ("polynomial", ":r=<R>"),
+                   "exp": ("exponential", ":a=<A>"), "log": ("logarithmic", ":a=<A>"), "sigmoid": ("sigmoid", "")}
 
 
 def transform_from_spec(spec):
@@ -237,17 +234,17 @@ def transform_from_spec(spec):
     if spec in (None, "", "none"):
         return None
     head, *rest = spec.split(":")
-    if head == "star":
+    if head == "star" and len(rest) == 1:
         from .starconvex import make_star_transform
 
-        return make_star_transform(rest[0] if rest else "")
-    kind = _SHORT_KINDS.get(head, head)
-    if kind not in TABLE1:
+        return make_star_transform(rest[0])
+    if head not in TRANSFORM_SPECS:
         raise InputError(f"unknown transform spec '{spec}'")
-    kv = spec_options(rest, "transform")
+    kind, syntax = TRANSFORM_SPECS[head]
+    kv = parse_spec(spec, "transform", syntax)
     return make_table1(kind, **{k: spec_number(kv, k, None) for k in kv})
 
 
 def known_transform_specs():
-    return (["none", "linear:a=<A>:b=<B>", "poly:r=<R>", "exp:a=<A>", "log:a=<A>", "sigmoid"]
+    return (["none"] + [head + syntax for head, (_, syntax) in TRANSFORM_SPECS.items()]
             + [f"star:{name}" for name in RADIAL])

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,9 @@ from pathlib import Path
 import pytest
 
 from newton_transforms.cli import main
+from newton_transforms.errors import InputError
+from newton_transforms.losses import known_loss_names, loss_from_spec
+from newton_transforms.transforms import known_transform_specs, transform_from_spec
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -181,6 +185,16 @@ MALFORMED = [
     "sweep-alpha --loss polytope:p=2 --alphas 0.1:1:1e-300",
     "radius --loss cauchy1d --bracket=-1",
     "run --loss beale --x0 1,1 --gtol nan",
+    # an option the head does not declare, or a head that is not declared:
+    # each once exited 0, reading the options it knew and ignoring the rest
+    "sweep-alpha --loss polytope:p=3:sed=7",
+    "run --loss polynorm:p=4:dim=3 --x0 1,1",
+    "run --loss cauchy1d:x --x0 0.8",
+    "run --loss beale:p=9 --x0 1,1",
+    "run --loss counterexample:q=1 --x0 0.5",
+    "run --loss cauchy1d --transform star:cauchy:x --x0 0.8",
+    "run --loss beale --transform polynomial:r=2 --x0 1,1",
+    "run --loss beale --schedule armijo:0.25 --x0 1,1",
 ]
 
 
@@ -197,6 +211,33 @@ def test_malformed_input_exit_2_without_traceback(argv, tmp_path):
     proc = _cli_process(tmp_path, argv)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(("error: usage:", "usage:")), proc.stderr  # the CLI's usage error or argparse's
+
+
+#: A value for each placeholder of the spec grammar that every head accepts.
+PLACEHOLDERS = {"P": "3", "D": "2", "S": "1", "A": "2", "B": "1", "R": "0.5"}
+
+
+def _filled(entry, keep_optional):
+    """A help entry such as 'polytope:p=<P>[:seed=<S>]' with its placeholders
+    filled in and its optional parts kept or dropped."""
+    entry = re.sub(r"\[([^\]]*)\]", lambda m: m.group(1) if keep_optional else "", entry)
+    return re.sub(r"<([A-Z])>", lambda m: PLACEHOLDERS[m.group(1)], entry)
+
+
+GRAMMAR = ([(loss_from_spec, entry) for entry in known_loss_names()]
+           + [(transform_from_spec, entry) for entry in known_transform_specs()])
+
+
+@pytest.mark.parametrize("build,entry", GRAMMAR, ids=[entry for _, entry in GRAMMAR])
+def test_spec_grammar(build, entry):
+    # every spec help lists builds, with and without its optional parts, and
+    # an undeclared key or a bare extra part is a usage error on every head
+    for keep_optional in (True, False):
+        build(_filled(entry, keep_optional))
+    for extra in (":zz=1", ":x"):
+        with pytest.raises(InputError):
+            build(_filled(entry, True) + extra)
 
 
 #: Starts where the transform's powers overflow or underflow: Python-float

@@ -1,6 +1,6 @@
 """Source hygiene of the package, read from its syntax trees: no module
-imports a name it never uses, and no private top-level function or class
-goes unreferenced."""
+imports a name it never uses, no module imports another module's private
+name, and no private top-level function or class goes unreferenced."""
 
 import ast
 from collections import Counter
@@ -33,6 +33,13 @@ def _imported_names(tree):
 def test_no_unused_imports(name):
     tree = MODULES[name]
     assert sorted(set(_imported_names(tree)) - set(_used_names(tree))) == []
+
+
+def test_no_private_names_imported_across_modules():
+    private = [f"{name}: {node.module}.{alias.name}" for name, tree in MODULES.items() for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith(PACKAGE.name))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_no_unreferenced_private_definitions():

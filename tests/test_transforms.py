@@ -203,7 +203,8 @@ class TestCompose:
         params = {"linear": dict(a=2.0, b=1.0), "polynomial": dict(r=2.0),
                   "exponential": dict(a=0.05), "logarithmic": dict(a=1.0), "sigmoid": {}}[tname]
         base = make_benchmark(lname)
-        L = compose(base, make_table1(tname, **params))
+        t = make_table1(tname, **params)
+        L = compose(base, t)
         rng = np.random.default_rng(17)
         if tname in ("sigmoid", "exponential"):
             # saturating transforms: stay where phi has representable slope
@@ -211,7 +212,7 @@ class TestCompose:
             box = rng.uniform(-spread, spread, size=(80, 2)) + base.minimizer
             pts = [x for x in box if base.value(x) <= 15.0]
         else:
-            pts = [x for x in rng.uniform(-1.2, 1.2, size=(50, 2)) if L.transform.contains(base.value(x))]
+            pts = [x for x in rng.uniform(-1.2, 1.2, size=(50, 2)) if t.contains(base.value(x))]
         assert len(pts) >= 15
         assert check_loss(L, pts, rtol_grad=1e-4, rtol_hess=1e-4) == []
 
