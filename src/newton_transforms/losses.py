@@ -42,7 +42,8 @@ class SmoothLoss:
 
     evaluate(x) returns (value, gradient, hessian); the Hessian is symmetric.
     evaluate_batch(X) does the same for every row of X. It uses _eval_batch
-    where a loss has a vectorized formula and loops evaluate_point otherwise.
+    where a loss has a vectorized formula and loops evaluate_point otherwise;
+    with _eval None, a point is its one-row batch (a flagged row raises).
 
     A vectorized loss is one formula on coordinate rows (a, b = x): x is the
     list of one point's coordinates as Python floats, or an array (d, N) for
@@ -53,7 +54,7 @@ class SmoothLoss:
 
     name: str
     dimension: int
-    _eval: Callable[[np.ndarray], tuple]
+    _eval: Optional[Callable[[np.ndarray], tuple]]
     minimizer: Optional[np.ndarray] = None
     min_value: Optional[float] = None
     _value: Optional[Callable[[np.ndarray], float]] = None
@@ -64,9 +65,17 @@ class SmoothLoss:
         return self.evaluate_point(as_point(x, self.dimension))
 
     def evaluate_point(self, x):
-        """evaluate() of a point that as_point has already checked, under the caller's np.errstate."""
-        f, g, H = self._eval(x)
-        return float(f), np.asarray(g, dtype=float), np.asarray(H, dtype=float)
+        """evaluate() of an as_point-checked point under the caller's np.errstate; the one shape check."""
+        if self._eval is not None:
+            f, g, H = self._eval(x)
+        else:  # a batch formula alone: the point's one-row batch
+            (f,), (g,), (H,), (err,) = self._eval_batch(x[None])
+            if err:
+                raise EvaluationError(f"loss '{self.name}' cannot be evaluated at {x}")
+        g, H = np.asarray(g, dtype=float), np.asarray(H, dtype=float)
+        if g.shape != H.shape[:-1]:
+            raise InputError(f"gradient shape {g.shape} does not match matrix shape {H.shape}")
+        return float(f), g, H
 
     @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def evaluate_batch(self, X):
@@ -291,11 +300,7 @@ def make_polytope(rows, offsets, p):
             H[rows] = np.matmul(p * (p - 1) * (Aa * (sa ** (p - 2))[:, :, None]).transpose(0, 2, 1), Aa)
         return f, G, H, np.zeros(n, dtype=bool)
 
-    def ev(x):
-        f, G, H, _ = ev_batch(x[None])
-        return f[0], G[0], H[0]
-
-    return SmoothLoss(name=f"polytope(p={p},n={A.shape[0]},d={d})", dimension=d, _eval=ev, min_value=0.0,
+    return SmoothLoss(name=f"polytope(p={p},n={A.shape[0]},d={d})", dimension=d, _eval=None, min_value=0.0,
                       _eval_batch=ev_batch)
 
 
@@ -428,13 +433,14 @@ def make_counterexample():
 
 def parse_spec(spec, kind, syntax):
     """The options of a CLI spec 'head:key=value:...' as a dict of strings. syntax is the head's
-    options as help prints them (':p=<P>[:seed=<S>]'); a part that is not one of them is an InputError."""
+    options as help prints them ('[:p=<P>][:seed=<S>]'); a part that is not one of them, or a key
+    stated twice, is an InputError."""
     head, *parts = spec.split(":")
     out = {}
     for part in parts:
         key, sep, value = part.partition("=")
-        if not sep or key not in re.findall(r"(\w+)=", syntax):
-            raise InputError(f"bad {kind} option '{part}' in '{spec}' (syntax {head}{syntax})")
+        if not sep or key in out or key not in re.findall(r"(\w+)=", syntax):
+            raise InputError(f"bad or repeated {kind} option '{part}' in '{spec}' (syntax {head}{syntax})")
         out[key] = value
     return out
 
@@ -454,7 +460,7 @@ def spec_number(options, key, default, cast=float):
 
 #: The loss spec heads and their options as help prints them; the '<name>1d' heads are the radial 1D losses.
 LOSS_SPECS = {**dict.fromkeys([*sorted(_BENCHMARKS), *(f"{n}1d" for n in sorted(RADIAL)), "counterexample"], ""),
-              "polynorm": ":p=<P>[:d=<D>][:seed=<S>]", "polytope": ":p=<P>[:seed=<S>]"}
+              "polynorm": "[:p=<P>][:d=<D>][:seed=<S>]", "polytope": "[:p=<P>][:seed=<S>]"}
 
 
 def loss_from_spec(spec):

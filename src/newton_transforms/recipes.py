@@ -2,8 +2,8 @@
 RecipeError when a reproduction assertion fails.
 
 fig1            divergence / surrogate / induced-schedule traces on ln(1+x^2)
-fig2, fig5      sign-flip region maps (polynomial resp. logarithmic transform)
-fig3            convergence-region maps under polynomial transformations
+fig2, fig5      sign-flip region maps, 200 x 200 (polynomial resp. logarithmic transform)
+fig3            convergence-region maps, 50 x 50, under polynomial transformations
 table1_check    transform-zoo equivalence deviations
 table3          convergence-neighborhood radii (convexity + empirical basin)
 polytope_sweep  best fixed stepsizes on the seeded feasibility instance
@@ -103,11 +103,11 @@ def recipe_fig1(out_dir):
     return {"max_deviation": dev}
 
 
-def _flip_recipe(out_dir, transform, stem, n=200):
+def _flip_recipe(out_dir, transform, stem):
     results = {}
     for lname in ("beale", "goldstein_price"):
         loss = make_benchmark(lname)
-        scan = scan_sign_flip(loss, transform, (-4, 4, n), (-4, 4, n), seed=0)
+        scan = scan_sign_flip(loss, transform, (-4, 4, 200), (-4, 4, 200), seed=0)
         scan.write_csv(_path(out_dir, f"{stem}_{lname}.csv"))
         neg = int(np.sum(scan.scaling_sign == -1))
         _require(neg > 0, f"{stem} on {lname}: no negative-scaling cells found")
@@ -117,15 +117,15 @@ def _flip_recipe(out_dir, transform, stem, n=200):
     return results
 
 
-def recipe_fig2(out_dir, n=200):
-    return _flip_recipe(out_dir, make_table1("polynomial", r=0.25), "flip_poly_r0.25", n=n)
+def recipe_fig2(out_dir):
+    return _flip_recipe(out_dir, make_table1("polynomial", r=0.25), "flip_poly_r0.25")
 
 
-def recipe_fig5(out_dir, n=200):
-    return _flip_recipe(out_dir, make_table1("logarithmic", a=1.0), "flip_log_a1", n=n)
+def recipe_fig5(out_dir):
+    return _flip_recipe(out_dir, make_table1("logarithmic", a=1.0), "flip_log_a1")
 
 
-def recipe_fig3(out_dir, n=50):
+def recipe_fig3(out_dir):
     """Convergence regions of unit-step Newton under f^r for r in {0.5, 1, 2}."""
     cfg = NewtonConfig(max_iters=40)
     counts = {}
@@ -133,7 +133,7 @@ def recipe_fig3(out_dir, n=50):
         loss = make_benchmark(lname)
         per_r = {}
         for r in (0.5, 1.0, 2.0):
-            scan = scan_convergence(loss, make_table1("polynomial", r=r), (-4, 4, n), (-4, 4, n), cfg=cfg)
+            scan = scan_convergence(loss, make_table1("polynomial", r=r), (-4, 4, 50), (-4, 4, 50), cfg=cfg)
             scan.write_csv(_path(out_dir, f"conv_{lname}_r{r:g}.csv"))
             per_r[r] = int(np.sum(scan.converged))
         _require(len(set(per_r.values())) > 1,
@@ -234,16 +234,13 @@ def recipe_lemma3_demo(out_dir):
     for _ in range(200):
         m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
         r1, r2 = lm_residuals(HL, gL, target, np.array([m1, m2]))
-        if r1 < r2:
-            hi = m2
-        else:
-            lo = m1
+        lo, hi = (lo, m2) if r1 < r2 else (m1, hi)
         if hi - lo < 1e-12:
             break
     oracle = float(lm_residuals(HL, gL, target, np.array([0.5 * (lo + hi)]))[0])
 
     _require(residual > 1e-6, f"LM residual {residual} unexpectedly small")
-    _require(abs(residual - oracle) <= 1e-8, f"golden-section {residual} vs dense oracle {oracle}")
+    _require(abs(residual - oracle) <= 1e-8, f"LM search {residual} vs dense oracle {oracle}")
     write_lines(_path(out_dir, "lemma3_demo.txt"), [
         f"residual={residual:.17g}",
         f"dense_scan_oracle={oracle:.17g}",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, InputError
+from .errors import InputError
 from .losses import SmoothLoss, as_point, make_radial
 from .newton import CONVERGED, RADIUS_TOL, NewtonConfig, lockstep_newton
 from .quadrature import adaptive_simpson
@@ -142,16 +142,10 @@ def radial_star_loss(radial):
             f, g, h = (np.where(err, np.nan, v) for v in (f, g, h))
         return f, g[:, None], h[:, None, None], err
 
-    def ev(x):
-        f, G, H, err = ev_batch(x[None])
-        if err[0]:
-            raise EvaluationError(f"star({radial.name}) value is not finite at r = {abs(x[0] - c)}")
-        return f[0], G[0], H[0]
-
     loss = SmoothLoss(
         name=f"star({radial.name})1d",
         dimension=1,
-        _eval=ev,
+        _eval=None,
         minimizer=np.array([c]),
         min_value=f_star,
         _eval_batch=ev_batch,
@@ -200,9 +194,13 @@ class RadiusResult:
     monotone: bool = True
 
 
-def _check_bracket(bracket_hi):
+def _check_bracket(loss_1d, bracket_hi):
+    """The minimizer x* of a radius search, which needs one, and a positive, finite bracket_hi."""
+    if loss_1d.minimizer is None:
+        raise InputError("radius searches need a loss with known minimizer")
     if not (0.0 < bracket_hi < np.inf):
         raise InputError(f"bracket_hi must be positive and finite, got {bracket_hi}")
+    return float(loss_1d.minimizer[0])
 
 
 @np.errstate(over="ignore")
@@ -286,11 +284,8 @@ def convergence_radius(loss_1d, bracket_hi=8.0, cfg=None, verify_monotone=True):
     Note: this measures actual runs. For the convexity-neighborhood radius
     (what the transformed-loss theory bounds), see convexity_radius.
     """
-    if loss_1d.minimizer is None:
-        raise InputError("convergence_radius needs a loss with known minimizer")
-    _check_bracket(bracket_hi)
+    xstar = _check_bracket(loss_1d, bracket_hi)
     cfg = cfg or NewtonConfig()
-    xstar = float(loss_1d.minimizer[0])
 
     def converges(rs):
         runs = lockstep_newton(loss_1d, (xstar + rs)[:, None], np.ones(len(rs)), cfg)
@@ -321,8 +316,7 @@ def convexity_radius(loss_1d, bracket_hi=8.0):
     raises as loss.evaluate does: in a scan when it comes before the first
     negative point, in the bisection when it is among a pass's midpoints.
     """
-    _check_bracket(bracket_hi)
-    xstar = float(loss_1d.minimizer[0])
+    xstar = _check_bracket(loss_1d, bracket_hi)
 
     def negative(rs):
         """curvature < -CURVATURE_TOL at x* + r per r, and the points the loss

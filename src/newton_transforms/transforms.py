@@ -174,8 +174,6 @@ def compose(base, t):
 
     def ev(x):
         f, g, H = base.evaluate_point(x)  # the composed loss has checked x
-        if g.shape != H.shape[:-1]:  # before the chain rule's broadcasting fails on it
-            raise InputError(f"gradient shape {g.shape} does not match matrix shape {H.shape}")
         phi, p1, p2 = t.jet(t.require(f))
         composed.base_eval = (base, x, f, g, H, p1)  # for ForwardedSchedule at this very x
         return phi, p1 * g, p1 * H + p2 * (g[:, None] * g)
@@ -220,6 +218,8 @@ def induced_stepsize(alpha_on_transformed, scaling):
 
 def forward_stepsize(alpha_on_base, scaling):
     """Stepsize on phi(f) reproducing the f-run: alpha * scaling."""
+    if abs(scaling) <= SCALING_ZERO_TOL:
+        raise SingularScalingError(f"scaling factor {scaling} is numerically zero; the f-run is not reproducible")
     return alpha_on_base * scaling
 
 

@@ -193,6 +193,9 @@ MALFORMED = [
     "run --loss beale:p=9 --x0 1,1",
     "run --loss counterexample:q=1 --x0 0.5",
     "run --loss cauchy1d --transform star:cauchy:x --x0 0.8",
+    # a key stated twice once kept the last value and exited 0
+    "run --loss beale --transform poly:r=1:r=2 --x0 1,1",
+    "sweep-alpha --loss polytope:p=3:p=4",
     "run --loss beale --transform polynomial:r=2 --x0 1,1",
     "run --loss beale --schedule armijo:0.25 --x0 1,1",
 ]

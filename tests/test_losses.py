@@ -4,6 +4,7 @@ import pytest
 from checks import REFERENCE_BENCHMARKS, check_loss, reference_polytope
 from newton_transforms.errors import DomainError, EvaluationError, InputError
 from newton_transforms.losses import (
+    SmoothLoss,
     _pow,
     as_1d_loss,
     loss_from_spec,
@@ -13,6 +14,9 @@ from newton_transforms.losses import (
     make_polytope,
     make_radial,
 )
+from newton_transforms.newton import DOMAIN_ERROR, ConstantSchedule, NewtonConfig, lockstep_newton, run_newton
+from newton_transforms.scans import best_fixed_stepsize
+from newton_transforms.transforms import compose, make_table1
 
 
 def sample_points(loss, n=100, lo=-2.0, hi=2.0, seed=0):
@@ -341,6 +345,56 @@ class TestCounterexample:
         assert check_loss(loss, pts) == []
 
 
+class TestEvaluationContract:
+    """SmoothLoss.evaluate_point shapes and checks every loss's output, on
+    every path that evaluates a point."""
+
+    def test_gradient_shape_mismatch_raises_on_every_path(self):
+        # a gradient of shape (1,) beside a 2 x 2 Hessian once broadcast silently in evaluate_batch
+        loss = SmoothLoss("mismatched", 2, lambda x: (0.0, np.array([1.0]), np.eye(2)), minimizer=np.zeros(2))
+        X = np.ones((3, 2))
+        for call in (lambda: loss.evaluate([1.0, 1.0]),
+                     lambda: loss.evaluate_batch(X),
+                     lambda: compose(loss, make_table1("linear", a=2.0)).evaluate_batch(X),
+                     lambda: lockstep_newton(loss, X, np.ones(3), NewtonConfig()),
+                     lambda: best_fixed_stepsize(loss, [1.0, 1.0], [0.5, 1.0]),
+                     lambda: run_newton(loss, ConstantSchedule(1.0), [1.0, 1.0])):
+            with pytest.raises(InputError, match=r"gradient shape \(1,\) does not match matrix shape \(2, 2\)"):
+                call()
+
+    @staticmethod
+    def batch_only():
+        # f = a^3 + sin b, flagged where a < 0
+        def ev_batch(X):
+            a, b = X.T
+            err = a < 0.0
+            f = np.where(err, np.nan, a**3 + np.sin(b))
+            G = np.stack([3.0 * a * a, np.cos(b)], axis=1)
+            H = np.zeros((len(X), 2, 2))
+            H[:, 0, 0], H[:, 1, 1] = 6.0 * a, -np.sin(b)
+            return f, G, H, err
+
+        return SmoothLoss("batch-only", 2, None, _eval_batch=ev_batch)
+
+    def test_batch_only_loss_evaluates_a_point_as_its_one_row_batch(self):
+        loss = self.batch_only()
+        X = np.random.default_rng(4).uniform(0.0, 3.0, (30, 2))
+        f, G, H, err = loss.evaluate_batch(X)
+        assert not err.any()
+        for i, x in enumerate(X):
+            fi, gi, Hi = loss.evaluate(x)
+            assert type(fi) is float and loss.value(x) == fi
+            assert [np.float64(fi).tobytes(), gi.tobytes(), Hi.tobytes()] == \
+                [f[i].tobytes(), G[i].tobytes(), H[i].tobytes()]
+
+    def test_batch_only_loss_raises_on_a_flagged_row(self):
+        loss = self.batch_only()
+        with pytest.raises(EvaluationError, match="batch-only"):
+            loss.evaluate([-1.0, 0.5])
+        tr = run_newton(loss, ConstantSchedule(1.0), [-1.0, 0.5])
+        assert (tr.termination, tr.iterations) == (DOMAIN_ERROR, 0)
+
+
 class TestSpecParsing:
     @pytest.mark.parametrize("spec,dim", [
         ("rosenbrock", 2), ("beale", 2), ("goldstein_price", 2),
@@ -353,3 +407,8 @@ class TestSpecParsing:
     def test_bad_spec(self):
         with pytest.raises(InputError):
             loss_from_spec("nope")
+
+    def test_left_out_p_defaults_to_two(self):
+        # help lists p as optional: [:p=<P>]
+        assert loss_from_spec("polytope").name == "polytope(p=2.0,seed=1)"
+        assert loss_from_spec("polynorm").name == "polynorm(p=2.0)"

@@ -234,6 +234,19 @@ class TestLM:
         loss = SmoothLoss("fixture", 2, lambda x: (0.0, np.array([1.0, 1.0]), np.diag([1.0, 2.0])))
         np.testing.assert_allclose(lm_step(loss, [0.0, 0.0], 1.0), [0.5, 1.0 / 3.0], rtol=1e-14)
 
+    def test_singular_regularized_hessian_rejected_without_warning(self):
+        # H + lam I = diag(0, 2): LAPACK finds the zero pivot
+        loss = SmoothLoss("saddle", 2, lambda x: (0.0, np.array([1.0, 1.0]), np.diag([-1.0, 1.0])))
+        with pytest.raises(InputError, match="singular at lambda = 1"):
+            lm_step(loss, [0.0, 0.0], 1.0)
+
+    def test_step_equals_numpy_solve_bit_for_bit(self):
+        loss = make_benchmark("rosenbrock")
+        rng = np.random.default_rng(5)
+        for x, lam in zip(rng.uniform(-2, 2, (20, 2)), rng.uniform(-5, 5, 20)):
+            _, g, H = loss.evaluate(x)
+            assert lm_step(loss, x, lam).tobytes() == np.linalg.solve(H + lam * np.eye(2), g).tobytes()
+
     def test_linear_transform_residual_zero(self):
         loss = make_benchmark("rosenbrock")
         res = lm_invariance_residual(loss, linear(2.0, 0.0), [-0.5, 0.5], 0.1)

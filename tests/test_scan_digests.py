@@ -18,9 +18,10 @@ report evaluated the loss point by point. A refactor that changes any number, it
 error flag in these files fails here. If a change alters the bytes on
 purpose, re-pin the digests and say why in CHANGES.md.
 
-fig2, fig3 and fig5 are pinned at reduced grids by default; their full-size
-outputs and table3 are pinned under the opt-in ``slow`` marker
-(``pytest -m slow tests/test_scan_digests.py``).
+Every recipe is pinned at the grid it runs; fig2, fig3, fig5 and table3
+together take under 2 s. lemma3_demo.txt was re-pinned when the LM search
+became bracket re-scans through lm_residuals in place of a golden-section
+refinement: its residual moved in the last bit, to the recipe's dense oracle.
 """
 
 import hashlib
@@ -113,10 +114,6 @@ DIGESTS = {
     "starcheck-welsh1d": "6a49665332e96574b3d13ee0deb3b7f135a86e00ee804f7ea788e3020fd9f297",
 }
 
-#: Recipe keyword arguments; fig2, fig3 and fig5 run at reduced grids.
-RECIPE_SIZES = {"fig1": {}, "fig2": {"n": 40}, "fig3": {"n": 20}, "fig5": {"n": 40}, "table1_check": {},
-                "polytope_sweep": {}, "lemma3_demo": {}, "convexify_cauchy": {}}
-
 RECIPE_DIGESTS = {
     "convexify_cauchy": {
         "convexify_cauchy.txt": "50234a312029d4b41e2ce7ad76a5190343f0ca69deee2b12752636198b092813",
@@ -127,39 +124,6 @@ RECIPE_DIGESTS = {
         "trace_f_diverges.csv": "e0e17a4bb092748622dc493cd33a82852fb241e8b948e8a5a2ace3e45ad4d11f",
         "trace_induced.csv": "c68757399c0e56c08a7451140505c48dfc180571a70f849458abf9c659c89740",
     },
-    "fig2": {
-        "flip_poly_r0.25_beale.csv": "213ec3c46e7aaaf332822ac4e96dda602bd40b0065121e5cbcf01f98470027b6",
-        "flip_poly_r0.25_goldstein_price.csv": "9bbd87485fd36c1ac5f2691639cfc85192fbbf60efe2527c84d32c680bfe4d6b",
-    },
-    "fig3": {
-        "conv_beale_r0.5.csv": "6aabe9f25d31aa37da14c5b0209ef9d89f5585097d0d10226927736258ed4c53",
-        "conv_beale_r1.csv": "2bc9c9cc4d15833ee44db16410c5136a80a6b25707b80cae7472da170ad76e82",
-        "conv_beale_r2.csv": "734cdb56515d79c3f701f4671629d05905415d00fe6d443e3b8ed9c55dffe640",
-        "conv_goldstein_price_r0.5.csv": "b2f365049558b1f29b0309e24fe9e156ff0209dde84cd829ed91063b1c27fc25",
-        "conv_goldstein_price_r1.csv": "8863c5ceeda68154ca8e7e3cd905fc68c5fd33d540c4b4ea3b0acbd5f8017eaa",
-        "conv_goldstein_price_r2.csv": "2e07540453a49ab35824a3feb5d8393d1c3fd985eb2e2831b1a58b5a4cac09d5",
-        "fig3_summary.txt": "a0f53097cde77297e220b76db0648554e0679c72c01dbaeddfee6af04e4f1dac",
-    },
-    "fig5": {
-        "flip_log_a1_beale.csv": "4d451118f3018e3ce9f8e3484865d896c723852aaa965d043eeb919974adc2e0",
-        "flip_log_a1_goldstein_price.csv": "098fa2f82c824d40eefe4f9dd92d037ce65b7b6da9df494c91c82da582834aaa",
-    },
-    "lemma3_demo": {
-        "lemma3_demo.txt": "c4dc2ce397c005896284fe019493f55eb8f87b9561c3e750b31c8ea7a21ff8d2",
-    },
-    "polytope_sweep": {
-        "polytope_sweep.csv": "75a33534eb7ed2475bbd2124e3db148afd2bf5bab8468e2d31acb7169c7cfe31",
-        "sweep_p2.csv": "d9f8364e1987910e9fd65040666dd0bfce0fd120800ed756284eb02ecb96005a",
-        "sweep_p3.csv": "4ed9d6c582d0f40a370b6122730daad40ff13aa0bdff2bf3ae712f961e135cbe",
-        "sweep_p4.csv": "244868981f29f5b78e5d173552ab4ccea8c78f90e153388a02c81db0d14023ee",
-        "sweep_p5.csv": "6cd82ca7cbc97c82cb7908ff5d3be6df1ee5815b2f6c16ef210452367bfb22c3",
-    },
-    "table1_check": {
-        "table1_check.csv": "6a104668e3e1b5b2759704c207ab6c7e7a0eb41885af2f8a4b464d67b9b88ce4",
-    },
-}
-
-FULL_SIZE_RECIPE_DIGESTS = {
     "fig2": {
         "flip_poly_r0.25_beale.csv": "a0563e17d636385f70878fe954d5fb2075452fb7dba5ce36763c6f6f8d09b66a",
         "flip_poly_r0.25_goldstein_price.csv": "dd18fda28e41e84d25f95d7131064c2e55c7fed508f90fdae33d420ebdf2f5de",
@@ -177,6 +141,19 @@ FULL_SIZE_RECIPE_DIGESTS = {
         "flip_log_a1_beale.csv": "3364424a6bbac27139eea04c3bc5181499babec0af81fed31a247a13227824f8",
         "flip_log_a1_goldstein_price.csv": "20e5dca4dba2c9495cdcf4441fffdcc9354c9d0454db46226777eb7168933156",
     },
+    "lemma3_demo": {
+        "lemma3_demo.txt": "cca0430cd286ba1933fccc1b837161cdfa2a0edc494cb2a3eb171eeffc554578",
+    },
+    "polytope_sweep": {
+        "polytope_sweep.csv": "75a33534eb7ed2475bbd2124e3db148afd2bf5bab8468e2d31acb7169c7cfe31",
+        "sweep_p2.csv": "d9f8364e1987910e9fd65040666dd0bfce0fd120800ed756284eb02ecb96005a",
+        "sweep_p3.csv": "4ed9d6c582d0f40a370b6122730daad40ff13aa0bdff2bf3ae712f961e135cbe",
+        "sweep_p4.csv": "244868981f29f5b78e5d173552ab4ccea8c78f90e153388a02c81db0d14023ee",
+        "sweep_p5.csv": "6cd82ca7cbc97c82cb7908ff5d3be6df1ee5815b2f6c16ef210452367bfb22c3",
+    },
+    "table1_check": {
+        "table1_check.csv": "6a104668e3e1b5b2759704c207ab6c7e7a0eb41885af2f8a4b464d67b9b88ce4",
+    },
     "table3": {
         "table3_radii.csv": "ddf0efa25ac179bd8de15b2a2df87510f69485c83097da1109e606deefedcc8a",
     },
@@ -190,17 +167,8 @@ def test_scan_csv_digest(name, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[name]
 
 
-def _recipe_digests(name, out_dir, **kwargs):
-    RECIPES[name](str(out_dir), **kwargs)
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out_dir.iterdir())}
-
-
 @pytest.mark.parametrize("name", sorted(RECIPE_DIGESTS))
 def test_recipe_digest(name, tmp_path):
-    assert _recipe_digests(name, tmp_path, **RECIPE_SIZES[name]) == RECIPE_DIGESTS[name]
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("name", sorted(FULL_SIZE_RECIPE_DIGESTS))
-def test_full_size_recipe_digest(name, tmp_path):
-    assert _recipe_digests(name, tmp_path) == FULL_SIZE_RECIPE_DIGESTS[name]
+    RECIPES[name](str(tmp_path))
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
+    assert digests == RECIPE_DIGESTS[name]

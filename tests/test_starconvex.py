@@ -325,6 +325,16 @@ class TestRadii:
         with pytest.raises(InputError):
             convergence_radius(loss, bracket_hi=1.0)
 
+    @pytest.mark.parametrize("search", [convergence_radius, convexity_radius])
+    def test_both_searches_check_their_arguments_alike(self, search):
+        # convexity_radius once raised TypeError on a loss without a minimizer
+        loss = as_1d_loss(make_radial("cauchy"))
+        with pytest.raises(InputError, match="known minimizer"):
+            search(SmoothLoss("no-minimizer", 1, loss._eval), bracket_hi=1.0)
+        for bracket_hi in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(InputError, match="bracket_hi"):
+                search(loss, bracket_hi=bracket_hi)
+
 
 def _serial_bisect(holds, lo, hi):
     """The 50-round point-by-point bisection the batched passes replace."""

@@ -143,6 +143,8 @@ class TestStepsizeConversion:
     def test_singular_scaling_raises(self):
         with pytest.raises(SingularScalingError):
             induced_stepsize(1.0, 1e-13)
+        with pytest.raises(SingularScalingError):
+            forward_stepsize(1.0, 1e-13)
 
 
 class TestCompose:
